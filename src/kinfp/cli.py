@@ -10,8 +10,10 @@ inequality / covering experiments, and writes deterministic reports:
   same config and seed);
 * a log line per instance carrying the inequality's anchor string.
 
-Exit codes: 0 all gated checks pass, 2 config parse error, 3 hypothesis
-failure (named), 4 numerical abort.
+Exit codes: 0 all gated checks pass, 1 some check failed (reports are
+still written), 2 config parse error, 3 hypothesis failure (named),
+4 numerical abort (non-finite values or a CFL violation), 5 any other
+error (a one-line reason is logged, the traceback at DEBUG level).
 """
 
 from __future__ import annotations
@@ -33,17 +35,23 @@ import numpy as np
 
 from . import __version__
 from .fields import BoxCylinder, Grid, NegSobolevInput, ScalarField, VectorField
-from .fpsolver import NumericalAbort
+from .fpsolver import CFLError, NumericalAbort
 from .geometry import (
+    Cylinder,
     PhasePoint,
+    check_stacking,
     group_product,
     origin,
+    q_bar,
+    q_one,
+    q_pos,
     stack_cylinders,
-    check_stacking,
 )
 from .harness import (
     HypothesisError,
+    estimate_holder,
     make_kernel_mixture,
+    normalize_by_infimum,
     sample_on_box,
     verify_expansion_of_positivity,
     verify_harnack,
@@ -51,10 +59,7 @@ from .harness import (
     verify_pop_large_times,
     verify_weak_harnack,
     verify_weak_poincare,
-    estimate_holder,
 )
-from .harness import _box_stats, _cylinder_inf, _q_one  # local quadrature
-from .geometry import Cylinder, q_minus
 from .inkspots import (
     InkspotsHypothesisError,
     generate_hypothesis_pair,
@@ -220,25 +225,16 @@ def _run_geometry_check(cfg: ExperimentConfig) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
     d = cfg.d
     n = 20000
-
-    def draw():
-        return [PhasePoint(float(rng.uniform(-5, 5)),
-                           rng.uniform(-5, 5, size=d),
-                           rng.uniform(-5, 5, size=d)) for _ in range(n)]
-
-    zs = [draw() for _ in range(3)]
-    err = 0.0
-    for z1, z2, z3 in zip(*zs):
-        a = group_product(group_product(z1, z2), z3)
-        b = group_product(z1, group_product(z2, z3))
-        scale = 1.0 + abs(a.t) + float(np.max(np.abs(a.x))) + float(
-            np.max(np.abs(a.v))
-        )
-        err = max(
-            err,
-            (abs(a.t - b.t) + float(np.max(np.abs(a.x - b.x)))
-             + float(np.max(np.abs(a.v - b.v)))) / scale,
-        )
+    # n points per factor, each drawn as (t, x, v)
+    z1, z2, z3 = (PhasePoint(w[:, 0], w[:, 1:1 + d], w[:, 1 + d:])
+                  for w in rng.uniform(-5, 5, size=(3, n, 1 + 2 * d)))
+    a = group_product(group_product(z1, z2), z3)
+    b = group_product(z1, group_product(z2, z3))
+    scale = (1.0 + np.abs(a.t) + np.max(np.abs(a.x), axis=-1)
+             + np.max(np.abs(a.v), axis=-1))
+    gap = (np.abs(a.t - b.t) + np.max(np.abs(a.x - b.x), axis=-1)
+           + np.max(np.abs(a.v - b.v), axis=-1))
+    err = float(np.max(gap / scale))
     rows = [_row("geometry-check", 0, cfg.seed, {
         "inequality": "group-associativity", "lhs": err, "rhs": 1e-12,
         "params": {"samples": n}, "passed": err <= 1e-12,
@@ -357,15 +353,12 @@ def _run_weak_poincare(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_pop(cfg: ExperimentConfig) -> list[dict]:
-    from .geometry import q_pos
-
     theta = cfg.params["theta"]
     rows = []
     for i in range(int(cfg.params["count"])):
         seed = cfg.seed * 1009 + i
         f0, _ = make_kernel_mixture(seed, d=cfg.d)
-        lo = _box_stats(f0, q_pos(theta, cfg.d))[0]
-        f = (lambda g, c: (lambda T, X, V: g(T, X, V) / c))(f0, lo)
+        f = normalize_by_infimum(f0, q_pos(theta, cfg.d))
         rows.append(_row("pop", i, seed, verify_expansion_of_positivity(
             f, theta, eps=cfg.params["eps"],
             source_sup=cfg.params["source_sup"])))
@@ -378,13 +371,10 @@ def _run_minima_measure(cfg: ExperimentConfig) -> list[dict]:
     for i in range(int(cfg.params["count"])):
         seed = cfg.seed * 1013 + i
         f0, _ = make_kernel_mixture(seed, d=cfg.d, pole_time=(-8.0, -4.0))
-        stacked = BoxCylinder(0.0, float(m), np.zeros(cfg.d), float(m + 2),
-                              np.zeros(cfg.d), 1.0)
         # normalize on the same local grid the verifier samples
         n_local = (16, 24, 24)
-        lo = _box_stats(f0, stacked, n_local)[0]
-        f = (lambda g, c: (lambda T, X, V: g(T, X, V) / c))(f0, lo)
-        vals = sample_on_box(f, _q_one(cfg.d), n_local).values
+        f = normalize_by_infimum(f0, q_bar(m, cfg.d), n_local)
+        vals = sample_on_box(f, q_one(cfg.d), n_local).values
         M = float(np.quantile(vals, 0.45))
         rows.append(_row("minima-measure", i, seed,
                          verify_minima_measure(f, m, M, n_local=n_local)))
@@ -401,8 +391,7 @@ def _run_pop_large_times(cfg: ExperimentConfig) -> list[dict]:
         z0 = PhasePoint(-1.0 + r**2 + float(rng.uniform(0, omega**2 - r**2)),
                         np.zeros(cfg.d), np.zeros(cfg.d))
         f0, _ = make_kernel_mixture(seed, d=cfg.d)
-        lo = _cylinder_inf(f0, Cylinder(z0, r))
-        f = (lambda g, c: (lambda T, X, V: g(T, X, V) / c))(f0, lo)
+        f = normalize_by_infimum(f0, Cylinder(z0, r))
         rows.append(_row("pop-large-times", i, seed, verify_pop_large_times(
             f, z0, r, A=1.0, omega=omega, ell0=0.25)))
     return rows
@@ -445,7 +434,9 @@ def _run_holder(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for i in range(int(cfg.params["count"])):
         seed = cfg.seed * 1033 + i
-        f, _ = make_kernel_mixture(seed, d=cfg.d, n_terms=2)
+        # poles before the sampled window (-2, 0], where the kernel is defined
+        f, _ = make_kernel_mixture(seed, d=cfg.d, n_terms=2,
+                                   pole_time=(-8.0, -4.0))
         res = estimate_holder(f, levels=int(cfg.params["levels"]), d=cfg.d)
         passed = bool(res["constant"] or (
             res["monotone"] and res["r_squared"] is not None
@@ -533,9 +524,13 @@ def run(config_path: str, seed: int | None = None, out: str | None = None,
     except (HypothesisError, InkspotsHypothesisError) as exc:
         logger.error("hypothesis failure: %s", exc)
         return 3
-    except NumericalAbort as exc:
+    except (NumericalAbort, CFLError) as exc:
         logger.error("numerical abort: %s", exc)
         return 4
+    except Exception as exc:
+        logger.error("error: %s: %s", type(exc).__name__, exc)
+        logger.debug("traceback", exc_info=True)
+        return 5
     rows: list[dict] = []
     for part in parts:  # merged in dispatch (seed) order
         rows.extend(sorted(part, key=lambda r: (r["id"], r["seed"])))
@@ -564,7 +559,7 @@ def run(config_path: str, seed: int | None = None, out: str | None = None,
     return 0 if all(r["passed"] for r in rows) else 1
 
 
-def replay(report_path: str, threads: int = 1) -> bool:
+def replay(report_path: str) -> bool:
     """Re-derive every recorded constant from the stored config and seed.
 
     Returns True iff the rerun reproduces lhs, rhs and fitted_c
@@ -609,7 +604,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker pool size")
+                        help="worker pool size (runs, not replays)")
     parser.add_argument("--list-experiments", action="store_true",
                         help="print known experiment kinds and exit")
     parser.add_argument("--replay", metavar="REPORT",
@@ -624,7 +619,7 @@ def main(argv=None) -> int:
         return 0
     if args.replay:
         try:
-            ok = replay(args.replay, threads=args.threads)
+            ok = replay(args.replay)
         except RuntimeError as exc:
             logger.error("%s", exc)
             return 2

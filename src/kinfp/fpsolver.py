@@ -70,7 +70,6 @@ class SolverConfig:
     bc_x: str = "dirichlet"
     bc_v: str = "dirichlet"
     boundary_value: object = 0.0
-    implicit_diffusion: bool = True
     transport_interp: str = "linear"
     cfl_safety: float = 0.9
 
@@ -94,13 +93,10 @@ class SolverConfig:
 
     def _check_cfl(self):
         g = self.grid
-        d = g.domain.d
         vmax = float(np.max(np.abs(g.v_axis)))
         limits = {}
         if vmax > 0.0:
             limits["transport"] = g.dx / vmax
-        if not self.implicit_diffusion:
-            limits["diffusion"] = g.dv**2 / (2.0 * d * self.coeffs.Lam)
         bmax = float(np.max(np.abs(self.coeffs.B)))
         if bmax > 0.0:
             limits["drift"] = g.dv / bmax
@@ -327,8 +323,6 @@ def solve(config: SolverConfig) -> ScalarField:
         raise NotImplementedError("callable boundary values require d = 1")
     has_drift = bool(np.any(B != 0.0))
     has_source = S is not None and bool(np.any(S != 0.0))
-    if not config.implicit_diffusion:
-        raise NotImplementedError("only the implicit-diffusion mode is built")
 
     traj = np.empty(g.shape)
     f = config.initial.copy()
@@ -504,6 +498,9 @@ def weak_residual(
     if tol is None:
         scale = max(float(np.max(np.abs(f.values))), s_sup, 1e-30)
         tol = 10.0 * scale * (g.dt + g.dx + g.dv)
+    a_grad = np.einsum("...jk,...k->...j", coeffs.A, grad_f)
+    drift = np.einsum("...k,...k->...", coeffs.B, grad_f)
+    src = coeffs.S
     values = []
     for phi in test_set:
         if not phi.support_inside(g.domain):
@@ -511,9 +508,6 @@ def weak_residual(
         pv = phi.value(T, X, V)
         transport = phi.dt(T, X, V) + np.einsum("...k,...k->...", V, phi.grad_x(T, X, V))
         gv_phi = phi.grad_v(T, X, V)
-        a_grad = np.einsum("...jk,...k->...j", coeffs.A, grad_f)
-        drift = np.einsum("...k,...k->...", coeffs.B, grad_f)
-        src = coeffs.S
         val = (
             -np.sum(f.values * transport)
             + np.sum(np.einsum("...k,...k->...", a_grad, gv_phi))

@@ -9,6 +9,13 @@ the free transport characteristics of the center velocity.
 All membership predicates and cylinder-in-cylinder inclusions are
 evaluated in closed form (the slant is affine in time, so suprema over a
 cylinder are attained at time endpoints); nothing here is sampled.
+
+Points and cylinders may be batches: a PhasePoint with ``t`` of shape
+(...) and ``x``, ``v`` of shape (..., d) is that many points, and a
+Cylinder over such a center (with a scalar radius or one of shape (...))
+is that many cylinders.  The group law, the scaling and the inclusion
+predicates then work elementwise, with the arithmetic of the single-point
+case, so every batch element equals the scalar call bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ __all__ = [
     "q_plus",
     "q_zero",
     "q_pos",
+    "q_one",
+    "q_bar",
     "OMEGA_MAX",
 ]
 
@@ -52,40 +61,59 @@ def _as_vec(a) -> np.ndarray:
     return out
 
 
+def _col(a) -> np.ndarray:
+    """a[..., None]: one scalar per point, lined up against (..., d) vectors."""
+    return np.asarray(a)[..., None]
+
+
+def _scalar_or_batch(mask):
+    """A Python bool for a single point or cylinder, the array for a batch."""
+    return bool(mask) if np.ndim(mask) == 0 else mask
+
+
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point z = (t, x, v) in R^(1+2d)."""
+    """A point z = (t, x, v) in R^(1+2d), or a batch of points.
 
-    t: float
+    A single point has a float ``t`` and 1-d ``x``, ``v``; a batch has
+    ``t`` of shape (...) and ``x``, ``v`` of shape (..., d).
+    """
+
+    t: float | np.ndarray
     x: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "x", _as_vec(self.x))
-        object.__setattr__(self, "v", _as_vec(self.v))
-        if self.x.shape != self.v.shape:
+        x = np.asarray(self.x, dtype=float)
+        v = np.asarray(self.v, dtype=float)
+        if np.ndim(self.t) == 0:
+            t = float(self.t)
+            x, v = np.atleast_1d(x), np.atleast_1d(v)
+        else:
+            t = np.asarray(self.t, dtype=float)
+        if x.shape != v.shape or x.shape[:-1] != np.shape(t):
             raise ValueError(
-                f"x and v must have equal dimension, got {self.x.shape} vs {self.v.shape}"
+                f"x and v must have shape t.shape + (d,), got {x.shape} and "
+                f"{v.shape} for t of shape {np.shape(t)}"
             )
-        if not (np.isfinite(self.t) and np.isfinite(self.x).all() and np.isfinite(self.v).all()):
+        if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(v).all()):
             raise ValueError("phase point coordinates must be finite")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "v", v)
 
     @property
     def d(self) -> int:
-        return self.x.size
+        return self.x.shape[-1]
+
+    def __getitem__(self, index) -> "PhasePoint":
+        """The point (or sub-batch) at ``index`` of the batch axes."""
+        return PhasePoint(self.t[index], self.x[index], self.v[index])
 
     def __iter__(self):
         yield self.t
         yield self.x
         yield self.v
-
-    def isclose(self, other: "PhasePoint", tol: float = 1e-12) -> bool:
-        return (
-            abs(self.t - other.t) <= tol
-            and np.allclose(self.x, other.x, rtol=0, atol=tol)
-            and np.allclose(self.v, other.v, rtol=0, atol=tol)
-        )
 
 
 def origin(d: int) -> PhasePoint:
@@ -96,12 +124,12 @@ def group_product(z1: PhasePoint, z2: PhasePoint) -> PhasePoint:
     """Non-commutative product (t1+t2, x1+x2+t2*v1, v1+v2)."""
     if z1.d != z2.d:
         raise ValueError(f"dimension mismatch: {z1.d} vs {z2.d}")
-    return PhasePoint(z1.t + z2.t, z1.x + z2.x + z2.t * z1.v, z1.v + z2.v)
+    return PhasePoint(z1.t + z2.t, z1.x + z2.x + _col(z2.t) * z1.v, z1.v + z2.v)
 
 
 def group_inverse(z: PhasePoint) -> PhasePoint:
     """Inverse element (-t, -x + t v, -v)."""
-    return PhasePoint(-z.t, -z.x + z.t * z.v, -z.v)
+    return PhasePoint(-z.t, -z.x + _col(z.t) * z.v, -z.v)
 
 
 def scale(r: float, z: PhasePoint) -> PhasePoint:
@@ -120,28 +148,45 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.square(a), axis=-1))
 
 
+def _unit_coords(base: "Cylinder", t, x, v):
+    """(k*k*s, |k**3 (x - x0 - s v0)|, |k (v - v0)|) with k = fl(1/r) and
+    s = t - t0, in the arithmetic of ``scale(1/r, .)``.  Slanted regions
+    compare these against unit bounds, so z lies in a region over Q_r(0)
+    exactly when S_{1/r}(z) lies in the one over Q_1(0), also on the
+    boundary, where comparing |v| < r directly would round differently."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    z0 = base.center
+    k = 1.0 / base.r
+    s = t - z0.t
+    s_unit = k * k * s
+    x_unit = _norm(_col(k**3) * (x - z0.x - _col(s) * z0.v))
+    v_unit = _norm(_col(k) * (v - z0.v))
+    return s_unit, x_unit, v_unit
+
+
 @dataclass(frozen=True)
 class Cylinder:
     """Slanted cylinder Q_r(z0), top-centered at z0.
 
-    Membership is tested in normalised coordinates, with exactly the
-    arithmetic of ``scale(1/r, .)``: with k = fl(1/r) and s = t - t0, a
-    point is inside iff::
+    Membership is tested in normalised coordinates (see ``_unit_coords``):
+    with k = fl(1/r) and s = t - t0, a point is inside iff::
 
         -1 < k*k*s <= 0,
         |k**3 * (x - x0 - s v0)| < 1,
         |k * (v - v0)| < 1.
 
-    So z lies in Q_r(0) exactly when S_{1/r}(z) lies in Q_1(0), also on
-    the boundary, where comparing |v| < r directly would round differently.
+    ``r`` is a float, or an array of shape (...) for a batch of centers.
     """
 
     center: PhasePoint
-    r: float
+    r: float | np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "r", float(self.r))
-        if self.r <= 0:
+        r = float(self.r) if np.ndim(self.r) == 0 else np.asarray(self.r, dtype=float)
+        object.__setattr__(self, "r", r)
+        if np.any(r <= 0):
             raise ValueError(f"cylinder radius must be positive, got {self.r}")
 
     @property
@@ -150,26 +195,25 @@ class Cylinder:
 
     def contains(self, t, x, v) -> np.ndarray:
         """Vectorized membership; t shape (...), x and v shape (..., d)."""
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        z0 = self.center
-        k = 1.0 / self.r
-        s = t - z0.t
-        s_unit = k * k * s
-        in_t = (-1.0 < s_unit) & (s_unit <= 0.0)
-        in_x = _norm(k**3 * (x - z0.x - s[..., None] * z0.v)) < 1.0
-        in_v = _norm(k * (v - z0.v)) < 1.0
-        return in_t & in_x & in_v
+        s_unit, x_unit, v_unit = _unit_coords(self, t, x, v)
+        return (-1.0 < s_unit) & (s_unit <= 0.0) & (x_unit < 1.0) & (v_unit < 1.0)
 
     def contains_point(self, z: PhasePoint) -> bool:
-        return bool(self.contains(z.t, z.x, z.v))
+        return _scalar_or_batch(self.contains(z.t, z.x, z.v))
 
     def contains_via_group(self, z: PhasePoint) -> bool:
         """Equivalent membership z0^{-1} o z in Q_r(0)."""
         w = group_product(group_inverse(self.center), z)
         ref = Cylinder(origin(self.d), self.r)
         return ref.contains_point(w)
+
+    def box_hull(self) -> "BoxCylinder":
+        """The box (t0 - r^2, t0] x B_{r^3 + r^2 |v0|}(x0) x B_r(v0) holding
+        Q_r(z0): along the slant the x-section center moves by at most
+        r^2 |v0|.  Single cylinders only."""
+        z0, r = self.center, self.r
+        speed = float(np.sqrt(np.sum(z0.v**2)))
+        return BoxCylinder(z0.t - r**2, z0.t, z0.x, r**3 + r**2 * speed, z0.v, r)
 
     def volume(self) -> float:
         d = self.d
@@ -178,16 +222,14 @@ class Cylinder:
     def stacked(self, m: int) -> "StackedCylinder":
         return StackedCylinder(self, m)
 
-    def scaled(self, rho: float) -> "Cylinder":
-        """Cylinder of radius rho*r with the same top-center."""
-        return Cylinder(self.center, rho * self.r)
-
 
 @dataclass(frozen=True)
 class StackedCylinder:
     """Forward-in-time stack over a cylinder: m copies along the slant.
 
-    Membership: 0 < t-t0 <= m r^2, |x-x0-(t-t0)v0| < (m+2) r^3, |v-v0| < r.
+    Membership: 0 < t-t0 <= m r^2, |x-x0-(t-t0)v0| < (m+2) r^3, |v-v0| < r,
+    tested in the normalised coordinates of the base (``_unit_coords``):
+    0 < k*k*s <= m, |k**3 (x - x0 - s v0)| < m + 2, |k (v - v0)| < 1.
     """
 
     base: Cylinder
@@ -198,18 +240,12 @@ class StackedCylinder:
             raise ValueError(f"stack count m must be >= 1, got {self.m}")
 
     def contains(self, t, x, v) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        z0, r, m = self.base.center, self.base.r, self.m
-        s = t - z0.t
-        in_t = (0.0 < s) & (s <= m * r**2)
-        in_x = _norm(x - z0.x - s[..., None] * z0.v) < (m + 2) * r**3
-        in_v = _norm(v - z0.v) < r
-        return in_t & in_x & in_v
+        s_unit, x_unit, v_unit = _unit_coords(self.base, t, x, v)
+        m = self.m
+        return (0.0 < s_unit) & (s_unit <= m) & (x_unit < m + 2) & (v_unit < 1.0)
 
     def contains_point(self, z: PhasePoint) -> bool:
-        return bool(self.contains(z.t, z.x, z.v))
+        return _scalar_or_batch(self.contains(z.t, z.x, z.v))
 
 
 @dataclass(frozen=True)
@@ -245,7 +281,7 @@ class BoxCylinder:
         return in_t & in_x & in_v
 
     def contains_point(self, z: PhasePoint) -> bool:
-        return bool(self.contains(z.t, z.x, z.v))
+        return _scalar_or_batch(self.contains(z.t, z.x, z.v))
 
     def volume(self) -> float:
         d = self.d
@@ -275,22 +311,31 @@ def q_pos(theta: float, d: int = 1) -> BoxCylinder:
     return BoxCylinder(-1.0 - theta**2, -1.0, np.zeros(d), theta**3, np.zeros(d), theta)
 
 
+def q_one(d: int = 1) -> BoxCylinder:
+    """Unit cylinder Q_1 = (-1, 0] x B_1 x B_1 (at the origin the slant vanishes)."""
+    return BoxCylinder(-1.0, 0.0, np.zeros(d), 1.0, np.zeros(d), 1.0)
+
+
+def q_bar(m: int, d: int = 1) -> BoxCylinder:
+    """Stacked unit cylinder Qbar_1^m = (0, m] x B_{m+2} x B_1."""
+    return BoxCylinder(0.0, float(m), np.zeros(d), float(m + 2), np.zeros(d), 1.0)
+
+
 def cylinder_in_box(Q: Cylinder, B: BoxCylinder, tol: float = 0.0) -> bool:
     """Closed-form test Q_r(z0) subset of I x B^x x B^v.
 
     The x-section center drifts affinely along x0 + s v0 for
-    s in (-r^2, 0], so the norm is maximized at an endpoint.
+    s in (-r^2, 0], so the norm is maximized at an endpoint.  Elementwise
+    over a batch of cylinders.
     """
     z0, r = Q.center, Q.r
-    if z0.t > B.t_max + tol or z0.t - r**2 < B.t_min - tol:
-        return False
-    if _norm(z0.v - B.v_center) + r > B.rv + tol:
-        return False
-    drift = max(
-        float(_norm(z0.x - B.x_center)),
-        float(_norm(z0.x - r**2 * z0.v - B.x_center)),
+    in_t = (z0.t <= B.t_max + tol) & (z0.t - r**2 >= B.t_min - tol)
+    in_v = _norm(z0.v - B.v_center) + r <= B.rv + tol
+    drift = np.maximum(
+        _norm(z0.x - B.x_center),
+        _norm(z0.x - _col(r**2) * z0.v - B.x_center),
     )
-    return drift + r**3 <= B.rx + tol
+    return _scalar_or_batch(in_t & in_v & (drift + r**3 <= B.rx + tol))
 
 
 def cylinder_in_cylinder(Qin: Cylinder, Qout: Cylinder, tol: float = 0.0) -> bool:
@@ -300,18 +345,17 @@ def cylinder_in_cylinder(Qin: Cylinder, Qout: Cylinder, tol: float = 0.0) -> boo
     functional |x - x_out - (t - t_out) v_out| is bounded by
     |x_in - x_out - dt*v_out + s (v_in - v_out)| + rin^3 with
     dt = t_in - t_out, affine in s, hence maximized at s in {0, -rin^2}.
+    Elementwise over batches of inner and/or outer cylinders.
     """
     zi, ri = Qin.center, Qin.r
     zo, ro = Qout.center, Qout.r
     dt = zi.t - zo.t
-    if dt > tol or zi.t - ri**2 < zo.t - ro**2 - tol:
-        return False
-    if _norm(zi.v - zo.v) + ri > ro + tol:
-        return False
-    base = zi.x - zo.x - dt * zo.v
     dv = zi.v - zo.v
-    drift = max(float(_norm(base)), float(_norm(base - ri**2 * dv)))
-    return drift + ri**3 <= ro**3 + tol
+    in_t = (dt <= tol) & (zi.t - ri**2 >= zo.t - ro**2 - tol)
+    in_v = _norm(dv) + ri <= ro + tol
+    base = zi.x - zo.x - _col(dt) * zo.v
+    drift = np.maximum(_norm(base), _norm(base - _col(ri**2) * dv))
+    return _scalar_or_batch(in_t & in_v & (drift + ri**3 <= ro**3 + tol))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ reproduces box volumes to roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -34,8 +34,13 @@ from .fpsolver import Bump, SolverConfig, solve
 from .geometry import (
     Cylinder,
     PhasePoint,
+    group_product,
+    origin,
     pop_parameters,
+    q_bar,
     q_minus,
+    q_one,
+    q_plus,
     q_pos,
     q_zero,
     stack_cylinders,
@@ -53,6 +58,7 @@ __all__ = [
     "make_kernel_mixture",
     "as_evaluator",
     "sample_on_box",
+    "normalize_by_infimum",
     "verify_weak_poincare",
     "verify_local_poincare",
     "verify_expansion_of_positivity",
@@ -123,38 +129,32 @@ def _box_lp(f, box: BoxCylinder, p: float, n=(16, 16, 16)) -> float:
     )
 
 
-def _cylinder_bounding_box(Q: Cylinder) -> BoxCylinder:
-    z0, r = Q.center, Q.r
-    speed = float(np.sqrt(np.sum(z0.v**2)))
-    return BoxCylinder(
-        t_min=z0.t - r**2,
-        t_max=z0.t,
-        x_center=z0.x,
-        rx=r**3 + r**2 * speed + 1e-15,
-        v_center=z0.v,
-        rv=r,
-    )
+def _cylinder_grid(Q: Cylinder, n) -> Grid:
+    """Local grid over the box hull of Q.  The hull's x radius is widened by
+    1e-15; the node placement, hence every recorded quadrature value of the
+    slanted-cylinder checks, depends on that widening."""
+    hull = Q.box_hull()
+    return Grid(replace(hull, rx=hull.rx + 1e-15), *n)
 
 
-def _cylinder_fraction(f, Q: Cylinder, predicate, n=(16, 16, 16)) -> float:
-    """Fraction of Q (by cell counting) where predicate(f) holds."""
-    grid = Grid(_cylinder_bounding_box(Q), *n)
+def _cylinder_values(f, Q: Cylinder, n) -> np.ndarray:
+    """Values of f at the nodes of Q's local grid that lie inside Q."""
+    grid = _cylinder_grid(Q, n)
     T, X, V = grid.coords
     inside = Q.contains(T, X, V)
     if not inside.any():
         raise HypothesisError("local grid too coarse for the cylinder")
-    vals = as_evaluator(f)(T, X, V)
-    return float(np.count_nonzero(predicate(vals[inside]))) / int(
-        np.count_nonzero(inside)
-    )
+    return as_evaluator(f)(T, X, V)[inside]
+
+
+def _cylinder_fraction(f, Q: Cylinder, predicate, n=(16, 16, 16)) -> float:
+    """Fraction of Q (by cell counting) where predicate(f) holds."""
+    vals = _cylinder_values(f, Q, n)
+    return float(np.count_nonzero(predicate(vals))) / vals.size
 
 
 def _cylinder_inf(f, Q: Cylinder, n=(16, 16, 16)) -> float:
-    grid = Grid(_cylinder_bounding_box(Q), *n)
-    T, X, V = grid.coords
-    inside = Q.contains(T, X, V)
-    vals = as_evaluator(f)(T, X, V)
-    return float(vals[inside].min())
+    return float(_cylinder_values(f, Q, n).min())
 
 
 def _box_fraction(f, box: BoxCylinder, predicate, n=(16, 16, 16)) -> float:
@@ -162,14 +162,16 @@ def _box_fraction(f, box: BoxCylinder, predicate, n=(16, 16, 16)) -> float:
     return float(np.count_nonzero(predicate(vals))) / vals.size
 
 
-def _q_one(d: int) -> BoxCylinder:
-    return BoxCylinder(-1.0, 0.0, np.zeros(d), 1.0, np.zeros(d), 1.0)
-
-
-def _q_plus_box(omega: float, d: int) -> BoxCylinder:
-    return BoxCylinder(
-        -(omega**2), 0.0, np.zeros(d), omega**3, np.zeros(d), omega
-    )
+def normalize_by_infimum(f, region: BoxCylinder | Cylinder, n=(16, 16, 16)):
+    """The evaluator f / inf f, with the infimum taken over ``region`` on
+    its local grid of n nodes (the box itself, or a slanted cylinder's box
+    hull), so that the result is >= 1 on those nodes."""
+    if isinstance(region, Cylinder):
+        lo = _cylinder_inf(f, region, n)
+    else:
+        lo = _box_stats(f, region, n)[0]
+    ev = as_evaluator(f)
+    return lambda T, X, V: ev(T, X, V) / lo
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +366,7 @@ def verify_weak_poincare(
         _check_transport_control(f, H, tol=10.0 * scale * (g.dt + g.dx + g.dv))
 
     pars = theta0_parameters(eta, d)
-    q1 = _q_one(d)
-    m1 = g.region_mask(q1)
+    m1 = g.region_mask(q_one(d))
     M = float(np.max(f.values[m1]))
     excess = np.clip(f.values - pars["theta0"] * M, 0.0, None)
     lhs = float(np.sqrt(np.sum(excess[m1] ** 2) * g.cell_volume))
@@ -407,7 +408,7 @@ def verify_local_poincare(
     T, X, V = g.coords
     rhs_field = ScalarField(g, f.values * cutoff.lk_psi(T, X, V))
     h = solve_cauchy(rhs_field, boundary_tol=1.0)
-    m1 = g.region_mask(_q_one(d))
+    m1 = g.region_mask(q_one(d))
     gain = np.clip(f.values - h.values, 0.0, None)
     lhs = float(np.sqrt(np.sum(gain[m1] ** 2) * g.cell_volume))
     rhs = _grad_v_l2(f, g.domain) + h_minus1_norm(H, g.domain)
@@ -466,7 +467,7 @@ def verify_expansion_of_positivity(
         raise HypothesisError("expansion of positivity requires f >= 0")
     th = theta0_parameters(pars.eta, d)
     ell0_formula = eps ** ((2.0 + th["theta0"]) / 3.0) - eps
-    inf_q1 = _box_stats(f, _q_one(d), n_local)[0]
+    inf_q1 = _box_stats(f, q_one(d), n_local)[0]
     return VerificationReport(
         inequality="expansion-of-positivity",
         lhs=inf_q1,
@@ -496,14 +497,12 @@ def verify_minima_measure(
         raise HypothesisError("minima-measure requires m >= 3")
     d = f.grid.d if isinstance(f, ScalarField) else 1
     theta = m ** (-0.5)
-    frac = _box_fraction(f, _q_one(d), lambda v: v >= M, n_local)
+    frac = _box_fraction(f, q_one(d), lambda v: v >= M, n_local)
     if frac < 0.5:
         raise HypothesisError(
             f"minima-measure hypothesis fails: fraction {frac:.3f} < 0.5"
         )
-    stacked = BoxCylinder(0.0, float(m), np.zeros(d), float(m + 2),
-                          np.zeros(d), 1.0)
-    inf_bar = _box_stats(f, stacked, n_local)[0]
+    inf_bar = _box_stats(f, q_bar(m, d), n_local)[0]
     m_formula = None if ell0_empirical in (None, 0.0) else 1.0 / ell0_empirical
     return VerificationReport(
         inequality="minima-measure",
@@ -541,7 +540,7 @@ def verify_pop_large_times(
     p0 = -math.log(ell0, 4.0)
     rhs = A * (r * r / 4.0) ** p0
     d = z0.d
-    lhs = _box_stats(f, _q_plus_box(omega, d), n_local)[0]
+    lhs = _box_stats(f, q_plus(omega, d).box_hull(), n_local)[0]
     stack_infs = [_cylinder_inf(f, Q, n_local) for Q in seq.cylinders]
     return VerificationReport(
         inequality="expansion-of-positivity-large-times",
@@ -567,13 +566,7 @@ def _framed(f, frame: PhasePoint | None):
         return ev
 
     def moved(T, X, V):
-        T = np.asarray(T, dtype=float)
-        X = np.asarray(X, dtype=float)
-        V = np.asarray(V, dtype=float)
-        t2 = frame.t + T
-        x2 = frame.x + X + T[..., None] * frame.v
-        v2 = frame.v + V
-        return ev(t2, x2, v2)
+        return ev(*group_product(frame, PhasePoint(T, X, V)))
 
     return moved
 
@@ -615,7 +608,7 @@ def verify_weak_harnack(
         return base(T, X, V) + source_sup * np.asarray(T, dtype=float)
 
     qm = q_minus(omega, d)
-    qp = _q_plus_box(omega, d)
+    qp = q_plus(omega, d).box_hull()
 
     def fit(nn):
         lhs = _box_lp(reduced, qm, p, nn)
@@ -667,7 +660,7 @@ def verify_harnack(
 
     qm = q_minus(omega, d)
     sup_minus = _box_stats(reduced, qm, n_local)[1]
-    inf_plus = _box_stats(reduced, _q_plus_box(omega, d), n_local)[0]
+    inf_plus = _box_stats(reduced, q_plus(omega, d).box_hull(), n_local)[0]
     lhs = sup_minus
     rhs = inf_plus + source_sup
     enlarged = BoxCylinder(
@@ -708,8 +701,7 @@ def estimate_holder(
     if levels < 2:
         raise ValueError("need at least 2 levels")
     ev = as_evaluator(f)
-    base_box = BoxCylinder(-(r_base**2), 0.0, np.zeros(d), r_base**3,
-                           np.zeros(d), r_base)
+    base_box = Cylinder(origin(d), r_base).box_hull()
     lo, hi = _box_stats(ev, base_box, n_local)
     if isinstance(f, ScalarField):
         finest = r_base * rbar ** (-(levels - 1))
@@ -729,11 +721,11 @@ def estimate_holder(
     branches = []
     for k in range(levels):
         r = r_base * rbar ** (-k)
-        box = BoxCylinder(-(r**2), 0.0, np.zeros(d), r**3, np.zeros(d), r)
+        box = Cylinder(origin(d), r).box_hull()
         a, b = _box_stats(normalized, box, n_local)
         osc.append(b - a)
-        past = BoxCylinder(-2.0 * r**2, -(r**2), np.zeros(d), r**3,
-                           np.zeros(d), r)
+        past = Cylinder(PhasePoint(-(r**2), np.zeros(d), np.zeros(d)),
+                        r).box_hull()
         frac_low = _box_fraction(normalized, past, lambda v: v <= 1.0, n_local)
         branches.append("f" if frac_low <= 0.5 else "2-f")
     osc_arr = np.array(osc)

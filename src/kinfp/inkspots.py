@@ -88,22 +88,15 @@ class DiscreteSet:
 
 
 def _index_window(grid: Grid, Q: Cylinder):
-    """Slices of grid axes covering the bounding box of Q (clipped)."""
-    z0, r = Q.center, Q.r
-    speed = float(np.sqrt(np.sum(z0.v**2)))
-    t = grid.t_nodes
-    it = np.searchsorted(t, [z0.t - r**2 - grid.dt, z0.t + grid.dt])
-    sl = [slice(max(it[0], 0), min(it[1], grid.n_t))]
-    rx = r**3 + r**2 * speed
-    for k in range(grid.d):
-        ax = grid.x_axis[k]
-        i = np.searchsorted(ax, [z0.x[k] - rx - grid.dx, z0.x[k] + rx + grid.dx])
-        sl.append(slice(max(i[0], 0), min(i[1], grid.n_x)))
-    for k in range(grid.d):
-        ax = grid.v_axis[k]
-        i = np.searchsorted(ax, [z0.v[k] - r - grid.dv, z0.v[k] + r + grid.dv])
-        sl.append(slice(max(i[0], 0), min(i[1], grid.n_v)))
-    return tuple(sl)
+    """Slices of grid axes covering the box hull of Q, padded by one cell
+    on every side."""
+    hull = Q.box_hull()
+    spans = [(grid.t_nodes, hull.t_min - grid.dt, hull.t_max + grid.dt)]
+    spans += [(grid.x_axis[k], hull.x_center[k] - hull.rx - grid.dx,
+               hull.x_center[k] + hull.rx + grid.dx) for k in range(grid.d)]
+    spans += [(grid.v_axis[k], hull.v_center[k] - hull.rv - grid.dv,
+               hull.v_center[k] + hull.rv + grid.dv) for k in range(grid.d)]
+    return tuple(slice(*np.searchsorted(ax, [lo, hi])) for ax, lo, hi in spans)
 
 
 def _cell_counts(E: DiscreteSet, Q: Cylinder):
@@ -134,21 +127,6 @@ def _shift3(arr: np.ndarray, a: int, b: int, c: int) -> np.ndarray:
         vs_out, vs_in = slice(-c, nv), slice(0, nv + c)
     out[ts_out, xs_out, vs_out] = arr[ts_in, xs_in, vs_in]
     return out
-
-
-def _admissible_centers_1d(grid: Grid, r: float, region: Cylinder) -> np.ndarray:
-    """Boolean array over cell centers: Q_r(center) inside the region.
-
-    Vectorized replica of cylinder_in_cylinder at tol = 0 for d = 1.
-    """
-    zo, ro = region.center, region.r
-    t = grid.t_nodes[:, None, None] - zo.t
-    x = grid.x_axis[0][None, :, None] - zo.x[0]
-    v = grid.v_axis[0][None, None, :] - zo.v[0]
-    ok = (t <= 0.0) & (t - r**2 >= -(ro**2)) & (np.abs(v) + r <= ro)
-    base = x - t * zo.v[0]
-    drift = np.maximum(np.abs(base), np.abs(base - r**2 * v))
-    return ok & (drift + r**3 <= ro**3)
 
 
 def _default_radii(grid: Grid) -> list[float]:
@@ -239,48 +217,34 @@ def find_dense_cylinders(
 
     Candidate centers run over the cell centers of E's grid; radii over the
     supplied list (default: the dyadic ladder from 1 down to the cell
-    scale).  Containment in Q_- is exact (closed form); density is cell
-    counting.  The d = 1 scan is vectorized over centers by summing shifted
-    masks; higher dimensions fall back to a per-candidate loop.
+    scale).  Containment in Q_- is exact (closed form, one batched
+    ``cylinder_in_cylinder`` over all centers); density is cell counting.
+    The d = 1 count is vectorized over centers by summing shifted masks;
+    higher dimensions count cells per admissible center.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
     radii = list(_default_radii(E.grid) if radii is None else radii)
     if not radii:
         raise ValueError("radii list must be nonempty")
+    if not E.mask.any():
+        return []
     g = E.grid
-    region = E.region
+    centers = PhasePoint(*g.coords)
     out: list[Cylinder] = []
-    T, X, V = g.coords
-    any_E = E.mask.any()
     for r in sorted(radii, reverse=True):
-        if not any_E:
-            break
         r = float(r)
+        admissible = cylinder_in_cylinder(Cylinder(centers, r), E.region)
+        if not admissible.any():
+            continue
         if g.d == 1:
-            admissible = _admissible_centers_1d(g, r, region)
-            if not admissible.any():
-                continue
             n_e, n_q = _dense_counts_1d(E, r)
             good = admissible & (n_q > 0) & (n_e >= (1.0 - mu) * n_q)
-            for idx in np.argwhere(good):
-                i, j, k = (int(q) for q in idx)
-                z0 = PhasePoint(float(g.t_nodes[i]),
-                                np.array([g.x_axis[0][j]]),
-                                np.array([g.v_axis[0][k]]))
-                Q = Cylinder(z0, r)
-                if cylinder_in_cylinder(Q, region):
-                    out.append(Q)
+            out.extend(Cylinder(centers[tuple(idx)], r)
+                       for idx in np.argwhere(good))
         else:
-            flat_T = T.ravel()
-            flat_X = X.reshape(-1, g.d)
-            flat_V = V.reshape(-1, g.d)
-            for i in range(flat_T.size):
-                z0 = PhasePoint(float(flat_T[i]), flat_X[i].copy(),
-                                flat_V[i].copy())
-                Q = Cylinder(z0, r)
-                if not cylinder_in_cylinder(Q, region):
-                    continue
+            for idx in np.argwhere(admissible):
+                Q = Cylinder(centers[tuple(idx)], r)
                 n_e, n_q = _cell_counts(E, Q)
                 if n_q > 0 and n_e >= (1.0 - mu) * n_q:
                     out.append(Q)

@@ -26,7 +26,14 @@ import numpy as np
 
 from .fields import BoxCylinder, CoefficientField, Grid, ScalarField
 from .fpsolver import SolverConfig, solve
-from .geometry import PhasePoint, ball_volume, group_inverse, group_product
+from .geometry import (
+    PhasePoint,
+    ball_volume,
+    group_inverse,
+    group_product,
+    q_one,
+    q_zero,
+)
 
 __all__ = [
     "KolmogorovKernel",
@@ -390,17 +397,6 @@ def build_cutoff(eta: float, T: float, R: float) -> CutoffFunction:
 # ---------------------------------------------------------------------------
 
 
-def _q_zero_box(eta: float, d: int) -> BoxCylinder:
-    return BoxCylinder(
-        t_min=-1.0 - eta**2,
-        t_max=-1.0,
-        x_center=np.zeros(d),
-        rx=eta**3,
-        v_center=np.zeros(d),
-        rv=eta,
-    )
-
-
 def _log_kernel_min(eta: float, T: float, d: int, n: int = 5) -> float:
     """Min over Q_1 x (Q_zero with t0 <= -1 - T) of the log kernel.
 
@@ -504,8 +500,7 @@ def localization_bound(
         raise ValueError("grid must cover the cutoff support box")
 
     # zero-set hypothesis on Q_zero, cell-counted on f's own grid
-    qz = _q_zero_box(eta, d)
-    mask_qz = grid.region_mask(qz)
+    mask_qz = grid.region_mask(q_zero(eta, d))
     n_qz = int(np.count_nonzero(mask_qz))
     if n_qz == 0:
         raise ValueError("grid too coarse: no cells inside Q_zero")
@@ -516,12 +511,10 @@ def localization_bound(
         )
 
     sup_f = float(np.max(f.values))
-    q1 = BoxCylinder(-1.0, 0.0, np.zeros(d), 1.0, np.zeros(d), 1.0)
-    mask_q1 = grid.region_mask(q1)
-    log_m = _log_kernel_min(eta, T, d)
-    qz_vol = eta**2 * ball_volume(d, eta**3) * ball_volume(d, eta)
-    delta0 = float(np.exp(log_m) * qz_vol / 8.0)
-    theta0 = 1.0 - delta0 / 2.0
+    mask_q1 = grid.region_mask(q_one(d))
+    pars = theta0_parameters(eta, d)
+    theta0, delta0 = pars["theta0"], pars["delta0"]
+    log_m = pars["log_kernel_min"]
 
     if sup_f == 0.0:
         zero = ScalarField(grid, np.zeros(grid.shape))

@@ -28,9 +28,9 @@ from kinfp.geometry import (
 )
 from kinfp.harness import (
     ExperimentEnsemble,
-    _box_stats,
     estimate_holder,
     make_kernel_mixture,
+    normalize_by_infimum,
     verify_expansion_of_positivity,
     verify_weak_harnack,
 )
@@ -48,36 +48,35 @@ def report(tag, ok, detail):
     assert ok, f"criterion {tag}: {detail}"
 
 
-def random_point(rng, lo=-1.0, hi=1.0):
-    return PhasePoint(float(rng.uniform(lo, hi)), rng.uniform(lo, hi, 1),
-                      rng.uniform(lo, hi, 1))
-
-
-def rel_gap(a: PhasePoint, b: PhasePoint) -> float:
-    scale = max(1.0, abs(a.t), float(np.max(np.abs(a.x))),
-                float(np.max(np.abs(a.v))))
-    return max(abs(a.t - b.t), float(np.max(np.abs(a.x - b.x))),
-               float(np.max(np.abs(a.v - b.v)))) / scale
+def batch(w):
+    """Points (t, x, v) at d = 1 from the last axis of w."""
+    return PhasePoint(w[..., 0], w[..., 1:2], w[..., 2:3])
 
 
 def test_criterion_01_group_exactness():
+    # the same stream as 10^5 draws of three points (t, x, v) each, then
+    # 10^5 draws of (center, radius, point), evaluated as batches
     rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(100_000):
-        z1, z2, z3 = (random_point(rng) for _ in range(3))
-        left = group_product(group_product(z1, z2), z3)
-        right = group_product(z1, group_product(z2, z3))
-        worst = max(worst, rel_gap(left, right))
-        if worst > 1e-12:
-            break
+    n = 100_000
+    z1, z2, z3 = (batch(w) for w in
+                  rng.uniform(-1.0, 1.0, size=(n, 3, 3)).transpose(1, 0, 2))
+    left = group_product(group_product(z1, z2), z3)
+    right = group_product(z1, group_product(z2, z3))
+    scale = np.maximum(np.maximum(np.maximum(1.0, np.abs(left.t)),
+                                  np.max(np.abs(left.x), axis=-1)),
+                       np.max(np.abs(left.v), axis=-1))
+    gap = np.maximum(np.maximum(np.abs(left.t - right.t),
+                                np.max(np.abs(left.x - right.x), axis=-1)),
+                     np.max(np.abs(left.v - right.v), axis=-1))
+    worst = float(np.max(gap / scale))
     # dual membership: direct inequalities vs the group pullback
-    mismatches = 0
-    for _ in range(100_000):
-        center = random_point(rng, -0.5, 0.5)
-        Q = Cylinder(center, float(rng.uniform(0.1, 1.0)))
-        z = random_point(rng)
-        if Q.contains_point(z) != Q.contains_via_group(z):
-            mismatches += 1
+    lo = np.array([-0.5, -0.5, -0.5, 0.1, -1.0, -1.0, -1.0])
+    hi = np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0])
+    w = rng.uniform(lo, hi, size=(n, 7))
+    Q = Cylinder(batch(w[:, :3]), w[:, 3])
+    z = batch(w[:, 4:])
+    mismatches = int(np.count_nonzero(Q.contains_point(z)
+                                      != Q.contains_via_group(z)))
     ok = worst <= 1e-12 and mismatches == 0
     report("01 group exactness", ok,
            f"assoc rel err {worst:.2e} (<=1e-12), "
@@ -281,8 +280,7 @@ def test_criterion_07_expansion_of_positivity_ensemble():
     formula = None
     for i in range(100):
         f0, _ = make_kernel_mixture(100_003 + i, d=1)
-        lo = _box_stats(f0, q_pos(theta, 1), n=(64, 64, 64))[0]
-        f = (lambda g, c: (lambda T, X, V: g(T, X, V) / c))(f0, lo)
+        f = normalize_by_infimum(f0, q_pos(theta, 1), n=(64, 64, 64))
         rep = verify_expansion_of_positivity(f, theta, n_local=(64, 64, 64))
         assert rep.passed
         infima.append(rep.lhs)

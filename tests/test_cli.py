@@ -97,6 +97,26 @@ class TestRun:
         path = write_config(tmp_path, WEAK_HARNACK)
         assert cli.run(path, out=str(tmp_path / "out")) == 4
 
+    def test_cfl_violation_exit_code(self, tmp_path):
+        path = write_config(
+            tmp_path, "[experiment]\nkind = solve\n\n[grid]\nn_t = 2\nn_x = 200\n")
+        assert cli.run(path, out=str(tmp_path / "out")) == 4
+        assert not (tmp_path / "out").exists()
+
+    def test_unexpected_error_exit_code(self, tmp_path, monkeypatch):
+        def boom(cfg):
+            raise KeyError("missing table entry")
+
+        monkeypatch.setitem(cli._RUNNERS, "weak-harnack", boom)
+        path = write_config(tmp_path, WEAK_HARNACK)
+        assert cli.run(path, out=str(tmp_path / "out")) == 5
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_holder_runs_at_every_seed(self, tmp_path, seed):
+        path = write_config(tmp_path, "[experiment]\nkind = holder\n")
+        assert cli.run(path, seed=seed, out=str(tmp_path / "out")) in (0, 1)
+
     def test_threaded_matches_serial(self, tmp_path):
         body = """
 [experiment]

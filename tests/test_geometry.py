@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinfp.geometry import (
+    BoxCylinder,
     Cylinder,
     PhasePoint,
     StackedCylinder,
@@ -131,6 +132,70 @@ class TestScaling:
                   pt(0, -(r**3), 0), pt(-(r * r), 0, 0)):
             w = scale(1.0 / r, z)
             assert big.contains_point(z) == unit.contains_point(w), z
+
+    @pytest.mark.parametrize("r", [2.1865332274595075, 0.3, 0.7])
+    def test_stacked_membership_scaling_on_boundary(self, r):
+        # the same law for the stack over Q_r(0), m = 3, on its faces
+        # |v| = r, |x| = (m+2) r^3 and t = m r^2
+        m = 3
+        big = StackedCylinder(Cylinder(origin(1), r), m)
+        unit = StackedCylinder(Cylinder(origin(1), 1.0), m)
+        for z in (pt(r * r, 0, r), pt(r * r, 0, -r), pt(r * r, 5 * r**3, 0),
+                  pt(r * r, -5 * r**3, 0), pt(m * r * r, 0, 0)):
+            w = scale(1.0 / r, z)
+            assert big.contains_point(z) == unit.contains_point(w), z
+
+
+def bits(z):
+    return (np.float64(z.t).tobytes(), z.x.tobytes(), z.v.tobytes())
+
+
+def as_batch(points):
+    return PhasePoint(np.array([p.t for p in points]),
+                      np.stack([p.x for p in points]),
+                      np.stack([p.v for p in points]))
+
+
+class TestBatches:
+    """Every batch element equals the scalar call bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_batch_matches_scalar_bitwise(self, data):
+        d = data.draw(dims)
+        n = data.draw(st.integers(1, 6))
+        a = [data.draw(phase_points(d)) for _ in range(n)]
+        b = [data.draw(phase_points(d)) for _ in range(n)]
+        ra = [data.draw(st.floats(0.05, 3.0)) for _ in range(n)]
+        k = data.draw(st.floats(0.1, 3.0))
+        A, B = as_batch(a), as_batch(b)
+        for got, want in (
+            (group_product(A, B), [group_product(p, q) for p, q in zip(a, b)]),
+            (group_product(a[0], B), [group_product(a[0], q) for q in b]),
+            (group_inverse(A), [group_inverse(p) for p in a]),
+            (scale(k, A), [scale(k, p) for p in a]),
+        ):
+            assert [bits(got[i]) for i in range(n)] == [bits(z) for z in want]
+
+        # outer regions large enough that inclusion goes both ways
+        wide = Cylinder(PhasePoint(10.0, np.zeros(d), np.zeros(d)), 5.0)
+        box = BoxCylinder(-12.0, 12.0, np.zeros(d), 200.0, np.zeros(d), 8.0)
+        inner = Cylinder(A, np.array(ra))
+        cases = [
+            (cylinder_in_cylinder(inner, wide),
+             [cylinder_in_cylinder(Cylinder(p, r), wide)
+              for p, r in zip(a, ra)]),
+            (cylinder_in_cylinder(Cylinder(b[0], 0.1), Cylinder(A, 3.0)),
+             [cylinder_in_cylinder(Cylinder(b[0], 0.1), Cylinder(p, 3.0))
+              for p in a]),
+            (cylinder_in_box(inner, box),
+             [cylinder_in_box(Cylinder(p, r), box) for p, r in zip(a, ra)]),
+            (inner.contains_via_group(B),
+             [Cylinder(p, r).contains_via_group(q)
+              for p, r, q in zip(a, ra, b)]),
+        ]
+        for got, want in cases:
+            assert got.tolist() == want
 
 
 class TestCylinder:

@@ -10,13 +10,14 @@ from kinfp.fields import (
     make_coefficients,
 )
 from kinfp.fpsolver import SolverConfig, default_test_set, solve, weak_residual
-from kinfp.geometry import Cylinder, PhasePoint, pop_parameters, q_pos
+from kinfp.geometry import Cylinder, PhasePoint, pop_parameters, q_bar, q_one, q_pos
 from kinfp.harness import (
     ExperimentEnsemble,
     HypothesisError,
     as_evaluator,
     estimate_holder,
     make_kernel_mixture,
+    normalize_by_infimum,
     sample_on_box,
     verify_expansion_of_positivity,
     verify_harnack,
@@ -26,7 +27,6 @@ from kinfp.harness import (
     verify_weak_harnack,
     verify_weak_poincare,
 )
-from kinfp.harness import _box_stats, _cylinder_inf, _q_one
 from kinfp.kolmogorov import build_cutoff
 
 
@@ -61,7 +61,7 @@ class TestKernelMixture:
 
     def test_strictly_positive(self):
         f, _ = make_kernel_mixture(3)
-        vals = sample_on_box(f, _q_one(1), (8, 8, 8)).values
+        vals = sample_on_box(f, q_one(1), (8, 8, 8)).values
         assert vals.min() > 0.0
 
     def test_members_are_weak_solutions(self):
@@ -164,8 +164,7 @@ class TestPositivityChain:
     def test_expansion_of_positivity(self):
         theta = 0.5
         f0, _ = make_kernel_mixture(5, n_terms=2)
-        lo = _box_stats(f0, q_pos(theta, 1), (16, 24, 24))[0]
-        f = lambda T, X, V: f0(T, X, V) / lo
+        f = normalize_by_infimum(f0, q_pos(theta, 1), (16, 24, 24))
         rep = verify_expansion_of_positivity(f, theta)
         assert rep.passed
         assert rep.lhs > 0.0
@@ -182,10 +181,8 @@ class TestPositivityChain:
     def test_minima_measure(self):
         m = 3
         f0, _ = make_kernel_mixture(9, n_terms=3, pole_time=(-8.0, -4.0))
-        stacked = BoxCylinder(0.0, 3.0, np.zeros(1), 5.0, np.zeros(1), 1.0)
-        lo = _box_stats(f0, stacked, (16, 24, 24))[0]
-        f = lambda T, X, V: f0(T, X, V) / lo
-        vals = sample_on_box(f, _q_one(1), (16, 24, 24)).values
+        f = normalize_by_infimum(f0, q_bar(m, 1), (16, 24, 24))
+        vals = sample_on_box(f, q_one(1), (16, 24, 24)).values
         M = float(np.quantile(vals, 0.45))
         rep = verify_minima_measure(f, m, M)
         assert rep.passed and rep.lhs >= 1.0 - 1e-12
@@ -198,8 +195,7 @@ class TestPositivityChain:
         z0 = PhasePoint(-1.0 + 0.5e-4, np.zeros(1), np.zeros(1))
         r = 0.004
         f0, _ = make_kernel_mixture(5)
-        lo = _cylinder_inf(f0, Cylinder(z0, r))
-        f = lambda T, X, V: f0(T, X, V) / lo
+        f = normalize_by_infimum(f0, Cylinder(z0, r))
         rep = verify_pop_large_times(f, z0, r, A=1.0, ell0=0.25)
         assert rep.passed
         assert rep.lhs >= rep.rhs

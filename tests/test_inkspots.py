@@ -35,7 +35,8 @@ def brute_force_scan(E, mu, radii):
             n_q = int(np.count_nonzero(inside))
             n_e = int(np.count_nonzero(E.mask & inside))
             if n_q > 0 and n_e >= (1.0 - mu) * n_q:
-                found.add((z0.t, float(z0.x[0]), float(z0.v[0]), float(r)))
+                found.add((z0.t, *map(float, z0.x), *map(float, z0.v),
+                           float(r)))
     return found
 
 
@@ -98,6 +99,19 @@ class TestFindDenseCylinders:
         fast = {(Q.center.t, float(Q.center.x[0]), float(Q.center.v[0]), Q.r)
                 for Q in find_dense_cylinders(E, 0.3, radii)}
         assert fast == brute_force_scan(E, 0.3, radii)
+
+    def test_brute_force_equivalence_d2(self):
+        # d >= 2 counts cells per admissible center
+        g = standard_grid((6, 8, 8), d=2)
+        T, X, V = g.coords
+        region = unit_past_cylinder(2)
+        rng = np.random.default_rng(0)
+        mask = region.contains(T, X, V) & (rng.uniform(size=g.shape) < 0.8)
+        E = DiscreteSet(g, mask, region)
+        radii = [0.5, 0.375]
+        fast = {(Q.center.t, *map(float, Q.center.x), *map(float, Q.center.v),
+                 Q.r) for Q in find_dense_cylinders(E, 0.3, radii)}
+        assert fast == brute_force_scan(E, 0.3, radii) and len(fast) > 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_brute_force_equivalence_uneven_radii(self, seed):
