@@ -75,10 +75,21 @@ class Grid:
     def t_nodes(self) -> np.ndarray:
         return self.domain.t_min + self.dt * np.arange(1, self.n_t + 1)
 
+    def x_at(self, j) -> np.ndarray:
+        """Cell-center x coordinates, shape (d, *j.shape), at integer indices
+        j; off-grid indices extend the same formula beyond the box.  Built
+        in place in one array (the scan in ``inkspots`` calls it on whole
+        grids)."""
+        j = np.asarray(j)
+        lo = self.domain.x_center - self.domain.rx
+        x = np.add(j, 0.5, out=np.empty(lo.shape + j.shape))
+        x *= self.dx
+        x += lo.reshape((-1,) + (1,) * j.ndim)
+        return x
+
     @cached_property
     def x_axis(self) -> np.ndarray:
-        lo = self.domain.x_center - self.domain.rx
-        return lo[:, None] + self.dx * (np.arange(self.n_x) + 0.5)  # (d, n_x)
+        return self.x_at(np.arange(self.n_x))  # (d, n_x)
 
     @cached_property
     def v_axis(self) -> np.ndarray:

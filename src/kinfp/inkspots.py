@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,10 +71,10 @@ class DiscreteSet:
         if self.mask.dtype != np.bool_:
             object.__setattr__(self, "mask", self.mask.astype(bool))
 
-    @property
+    @cached_property
     def region_mask(self) -> np.ndarray:
-        T, X, V = self.grid.coords
-        return self.region.contains(T, X, V)
+        """Cell centers inside the reference region, computed once per set."""
+        return self.grid.region_mask(self.region)
 
     @property
     def measure(self) -> float:
@@ -99,34 +100,20 @@ def _index_window(grid: Grid, Q: Cylinder):
     return tuple(slice(*np.searchsorted(ax, [lo, hi])) for ax, lo, hi in spans)
 
 
+def _window_membership(grid: Grid, Q: Cylinder):
+    """(window, Q.contains on the window's cell centers); no cell center
+    outside the window lies in Q."""
+    win = _index_window(grid, Q)
+    T, X, V = grid.coords
+    return win, Q.contains(T[win], X[win], V[win])
+
+
 def _cell_counts(E: DiscreteSet, Q: Cylinder):
     """(cells of Q meeting E, cells of Q) by counting cell centers."""
-    g = E.grid
-    win = _index_window(g, Q)
-    T, X, V = g.coords
-    inside = Q.contains(T[win], X[win], V[win])
+    win, inside = _window_membership(E.grid, Q)
     n_q = int(np.count_nonzero(inside))
     n_e = int(np.count_nonzero(E.mask[win] & inside))
     return n_e, n_q
-
-
-def _shift3(arr: np.ndarray, a: int, b: int, c: int) -> np.ndarray:
-    """out[i, j, k] = arr[i - a, j + b, k + c], zero-filled outside."""
-    nt, nx, nv = arr.shape
-    out = np.zeros_like(arr)
-    if a >= nt or abs(b) >= nx or abs(c) >= nv:
-        return out
-    ts_out, ts_in = slice(a, nt), slice(0, nt - a)
-    if b >= 0:
-        xs_out, xs_in = slice(0, nx - b), slice(b, nx)
-    else:
-        xs_out, xs_in = slice(-b, nx), slice(0, nx + b)
-    if c >= 0:
-        vs_out, vs_in = slice(0, nv - c), slice(c, nv)
-    else:
-        vs_out, vs_in = slice(-c, nv), slice(0, nv + c)
-    out[ts_out, xs_out, vs_out] = arr[ts_in, xs_in, vs_in]
-    return out
 
 
 def _default_radii(grid: Grid) -> list[float]:
@@ -159,10 +146,15 @@ def _unit_limit(c: float) -> float:
 def _dense_counts_1d(E: DiscreteSet, r: float):
     """(n_in_E, n_in_Q) per candidate center, as arrays over the grid.
 
-    Sums shifted copies of the mask over all index offsets that can fall
-    inside a radius-r cylinder; membership per offset replicates the
-    normalised comparisons of Cylinder.contains bit for bit, so the result
-    matches a brute-force scan exactly.
+    Membership replicates the normalised comparisons of Cylinder.contains
+    bit for bit, so the result matches a brute-force scan exactly.  For a
+    center (i, j, l) and time offset a, fl(fl(x[j'] - x[j]) - fl(s v[l])) is
+    monotone in j', so the x-indices passing |.| < x_lim form one interval;
+    each endpoint is guessed from (s v -+ x_lim) / dx and stepped with the
+    exact predicate until tight.  The velocity indices passing
+    |k (v[l'] - v[l])| < 1 form an interval independent of a.  n_q is the
+    product of the two lengths; n_e is one rectangle query per center on a
+    summed-area table of the mask's time row i - a.
     """
     g = E.grid
     t, x, v = g.t_nodes, g.x_axis[0], g.v_axis[0]
@@ -171,42 +163,78 @@ def _dense_counts_1d(E: DiscreteSet, r: float):
     a_max = min(nt - 1, int(np.ceil(r * r / g.dt)))
     b_max = min(nx - 1, int(np.ceil((r**3 + r * r * vmax) / g.dx)) + 1)
     c_max = min(nv - 1, int(np.ceil(r / g.dv)) + 1)
-    n_q = np.zeros(g.shape, dtype=np.int64)
-    n_e = np.zeros(g.shape, dtype=np.int64)
-    mask = E.mask
     k = 1.0 / r
     x_lim = _unit_limit(k**3)  # |k**3 * y| < 1 iff |y| < x_lim
+
+    # velocity window [v_lo[l], v_lo[l] + n_v_in[l]) of each center l
+    ls = np.arange(nv)
+    lp = ls[:, None] + np.arange(-c_max, c_max + 1)
+    on_grid = (lp >= 0) & (lp < nv)
+    lp = np.clip(lp, 0, nv - 1)
+    v_in = on_grid & (np.abs(k * (v[lp] - v[:, None])) < 1.0)
+    n_v_in = np.count_nonzero(v_in, axis=1).astype(np.int32)
+    v_lo = lp[ls, np.argmax(v_in, axis=1)].astype(np.int32)
+    v_hi = v_lo + n_v_in
+
+    # summed-area table per time row: sat[i, p, q] = mask[i, :p, :q].sum()
+    sat = np.zeros((nt, nx + 1, nv + 1), dtype=np.int32)
+    np.cumsum(E.mask, axis=1, dtype=np.int32, out=sat[:, 1:, 1:])
+    np.cumsum(sat, axis=2, out=sat)
+    sat = sat.ravel()
+    row_len, x_len = (nx + 1) * (nv + 1), nv + 1
+
+    n_q = np.zeros(g.shape, dtype=np.int32)
+    n_e = np.zeros(g.shape, dtype=np.int32)
+    js = np.arange(nx, dtype=np.int32)[:, None]
+    j_min = np.maximum(js - b_max, 0)
+    j_end = np.minimum(js + b_max, nx - 1) + 1
     for a in range(a_max + 1):
-        s = np.full(nt, np.nan)
-        s[a:] = t[: nt - a] - t[a:]  # t_point - t_center per center index
+        # centers in time rows a.., their points in rows ..nt-a
+        s = t[: nt - a] - t[a:]  # t_point - t_center
         s_unit = k * k * s
-        cond_t = (-1.0 < s_unit) & (s_unit <= 0.0)
-        if not cond_t.any():
+        in_t = (-1.0 < s_unit) & (s_unit <= 0.0)
+        if not in_t.any():
             continue
-        for c in range(-c_max, c_max + 1):
-            dv = np.full(nv, np.nan)
-            if c >= 0:
-                dv[: nv - c] = v[c:] - v[: nv - c]
-            else:
-                dv[-c:] = v[: nv + c] - v[-c:]
-            cond_v = np.abs(k * dv) < 1.0
-            if not cond_v.any():
-                continue
-            for b in range(-b_max, b_max + 1):
-                dx = np.full(nx, np.nan)
-                if b >= 0:
-                    dx[: nx - b] = x[b:] - x[: nx - b]
-                else:
-                    dx[-b:] = x[: nx + b] - x[-b:]
-                cond_x = (
-                    np.abs(dx[None, :, None] - s[:, None, None] * v[None, None, :])
-                    < x_lim
-                )
-                mem = cond_t[:, None, None] & cond_x & cond_v[None, None, :]
-                if not mem.any():
-                    continue
-                n_q += mem
-                n_e += mem & _shift3(mask, a, b, c)
+        sv = (s[:, None] * v)[:, None, :]  # fl(s v0), (nt - a, 1, nv)
+
+        def x_offset(jp):
+            """fl(fl(x[j'] - x[j]) - fl(s v0)) at x-indices jp per center."""
+            out = g.x_at(jp)[0]
+            out -= x[:, None]
+            out -= sv
+            return out
+
+        # least j' with x_offset > -x_lim, greatest with x_offset < x_lim
+        lo = js + np.ceil((sv - x_lim) / g.dx).astype(np.int32)
+        while (step := x_offset(lo - 1) > -x_lim).any():
+            lo -= step
+        while (step := x_offset(lo) <= -x_lim).any():
+            lo += step
+        hi = js + 1 + np.floor((sv + x_lim) / g.dx).astype(np.int32)
+        while (step := x_offset(hi) < x_lim).any():
+            hi += step
+        while (step := x_offset(hi - 1) >= x_lim).any():
+            hi -= step
+        # clip the x window [lo, hi) to the grid and to +-b_max; empty it
+        # in rows outside the time range
+        np.minimum(hi, j_end, out=hi)
+        np.maximum(hi, 0, out=hi)
+        np.maximum(lo, j_min, out=lo)
+        np.minimum(lo, hi, out=lo)
+        lo[~in_t] = hi[~in_t]
+        n_q[a:] += (hi - lo) * n_v_in
+        # rectangle [lo, hi) x [v_lo, v_hi) of each center's point row
+        row_start = (np.arange(nt - a, dtype=np.int32) * row_len)[:, None, None]
+        lo *= x_len
+        lo += row_start
+        hi *= x_len
+        hi += row_start
+        inside_e = sat[hi + v_hi]
+        inside_e -= sat[lo + v_hi]
+        inside_e -= sat[hi + v_lo]
+        inside_e += sat[lo + v_lo]
+        n_e[a:] += inside_e
+        del lo, hi, inside_e  # keep one pass's arrays alive at a time
     return n_e, n_q
 
 
@@ -301,19 +329,22 @@ def verify_inkspots(
                 "leaves F"
             )
     lhs = E.measure
-    f_measure = F.restricted().measure
-    base = f_measure + C * m * r0**2
+    f_measure = F.measure
+    additive = C * m * r0**2
+    base = f_measure + additive
     rhs = (m + 1) / m * (1.0 - c * mu) * base
     if base > 0:
         c_star = (1.0 - lhs * m / ((m + 1) * base)) / mu
+        additive_share = additive / base
     else:
-        c_star = None
+        c_star = additive_share = None
     return VerificationReport(
         inequality="ink-spots-covering",
         lhs=lhs,
         rhs=rhs,
         params={"mu": mu, "m": m, "r0": r0, "c": c, "C": C,
                 "F_measure": f_measure, "dense_count": len(dense),
+                "additive_share": additive_share,
                 "candidate_class": "grid-aligned slanted cylinders",
                 "c_star": c_star},
         passed=lhs <= rhs + 1e-15,
@@ -365,14 +396,14 @@ def generate_hypothesis_pair(
         Q = Cylinder(z0, r)
         if not cylinder_in_cylinder(Q, region):
             continue
-        inside = Q.contains(T, X, V)
+        win, inside = _window_membership(grid, Q)
         if not inside.any():
             continue
-        e_mask |= inside & level
-        f_mask |= _stacked_mask(grid, Q, m) | inside
+        e_mask[win] |= inside & level[win]
+        f_mask |= _stacked_mask(grid, Q, m)
+        f_mask[win] |= inside
         placed += 1
-    region_mask = region.contains(T, X, V)
-    e_mask &= region_mask
+    e_mask &= grid.region_mask(region)
     f_mask |= e_mask
     E = DiscreteSet(grid, e_mask, region)
     # rejection sweep: no dense cylinder with radius >= r0 may survive
@@ -385,7 +416,8 @@ def generate_hypothesis_pair(
             if not offenders:
                 break
             for Q in offenders:
-                e_mask = e_mask & ~Q.contains(T, X, V)
+                win, inside = _window_membership(grid, Q)
+                e_mask[win] &= ~inside
             E = DiscreteSet(grid, e_mask, region)
     # enlargement sweep: the stacked extension of every remaining dense
     # cylinder (any radius below r0, any density level down to mu = 1/2's
@@ -410,19 +442,12 @@ def mask_to_rle(mask: np.ndarray) -> str:
     """
     mask = np.asarray(mask, dtype=bool)
     flat = mask.ravel()
-    lines = ["shape " + " ".join(str(s) for s in mask.shape)]
-    runs = []
-    current = False
-    count = 0
-    for bit in flat:
-        if bit == current:
-            count += 1
-        else:
-            runs.append(count)
-            current = bool(bit)
-            count = 1
-    runs.append(count)
-    lines.append(" ".join(str(r) for r in runs))
+    bounds = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    runs = np.diff(bounds, prepend=0, append=flat.size)
+    if flat.size and flat[0]:
+        runs = np.concatenate(([0], runs))
+    lines = ["shape " + " ".join(str(s) for s in mask.shape),
+             " ".join(map(str, runs.tolist()))]
     return "\n".join(lines) + "\n"
 
 
@@ -432,16 +457,8 @@ def rle_to_mask(text: str) -> np.ndarray:
         raise ValueError("missing shape header")
     shape = tuple(int(s) for s in lines[0].split()[1:])
     runs = [int(tok) for ln in lines[1:] for tok in ln.split()]
-    total = int(np.prod(shape))
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    bit = False
-    for run in runs:
-        if run < 0 or pos + run > total:
-            raise ValueError("run lengths do not match shape")
-        flat[pos:pos + run] = bit
-        pos += run
-        bit = not bit
-    if pos != total:
+    # checked on Python ints, so a huge run cannot overflow
+    if (runs and min(runs) < 0) or sum(runs) != int(np.prod(shape)):
         raise ValueError("run lengths do not match shape")
-    return flat.reshape(shape)
+    bits = np.arange(len(runs)) % 2 == 1
+    return np.repeat(bits, runs).reshape(shape)

@@ -418,15 +418,10 @@ def _log_kernel_min(eta: float, T: float, d: int, n: int = 5) -> float:
     axes1 = [t1] + [x1] * d + [x1] * d
     grids1 = np.meshgrid(*axes1, indexing="ij")
     pts1 = np.stack([g.ravel() for g in grids1], axis=-1)
+    # every pole time is <= -1 - T < -1 + 1e-9 <= every sample time
     for row in pts0:
         z0 = PhasePoint(row[0], row[1 : 1 + d], row[1 + d :])
-        s = pts1[:, 0] - z0.t
-        keep = s > 0.0
-        if not keep.any():
-            continue
-        logs = log_kernel_eval(
-            pts1[keep, 0], pts1[keep, 1 : 1 + d], pts1[keep, 1 + d :], z0
-        )
+        logs = log_kernel_eval(pts1[:, 0], pts1[:, 1 : 1 + d], pts1[:, 1 + d :], z0)
         best = min(best, float(np.min(logs)))
     return best
 

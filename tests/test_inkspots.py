@@ -6,6 +6,7 @@ from kinfp.inkspots import (
     DiscreteSet,
     InkspotsHypothesisError,
     _dense_counts_1d,
+    _window_membership,
     find_dense_cylinders,
     generate_hypothesis_pair,
     mask_to_rle,
@@ -130,6 +131,30 @@ class TestFindDenseCylinders:
             ref_e, ref_q = brute_force_counts(E, r)
             assert np.array_equal(n_q, ref_q) and np.array_equal(n_e, ref_e)
 
+    @pytest.mark.parametrize("r", [1.0, 0.75, 0.5, 0.3])
+    def test_counts_dense_random_mask_non_cubic(self, r):
+        # windows reach every grid edge, so the x and v intervals are clipped
+        g = standard_grid((20, 12, 10))
+        rng = np.random.default_rng(7)
+        E = region_set(g, rng.uniform(size=g.shape) < 0.7)
+        n_e, n_q = _dense_counts_1d(E, r)
+        ref_e, ref_q = brute_force_counts(E, r)
+        assert np.array_equal(n_q, ref_q) and np.array_equal(n_e, ref_e)
+
+    def test_window_membership_matches_full_grid(self):
+        g = standard_grid((20, 12, 10), t_max=0.3)
+        T, X, V = g.coords
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            z0 = PhasePoint(float(rng.uniform(-1.2, 0.5)),
+                            rng.uniform(-2.5, 2.5, size=1),
+                            rng.uniform(-1.2, 1.2, size=1))
+            Q = Cylinder(z0, float(rng.choice([1.0, 0.75, 0.5, 0.3, 0.1])))
+            full = Q.contains(T, X, V)
+            win, inside = _window_membership(g, Q)
+            assert np.array_equal(full[win], inside)
+            assert np.count_nonzero(inside) == np.count_nonzero(full)
+
 
 class TestVerifyInkspots:
     def test_empty_pair_passes(self):
@@ -155,6 +180,9 @@ class TestVerifyInkspots:
                               radii=[0.2, 0.1])
         assert rep.passed
         assert rep.params["c_star"] is not None and rep.params["c_star"] > 0.05
+        additive = 1.0 * 3 * 0.3**2
+        assert rep.params["additive_share"] == pytest.approx(
+            additive / (F.measure + additive))
 
     def test_hypothesis_e_subset(self):
         g = standard_grid((12, 12, 12))
@@ -207,6 +235,12 @@ class TestGenerator:
             E, F = generate_hypothesis_pair(seed, k=5, m=3, r0=0.3)
             assert not np.any(E.mask & ~(F.mask & E.region_mask))
 
+    def test_region_mask_computed_once(self):
+        E, _ = generate_hypothesis_pair(0, k=2, m=3, r0=0.3)
+        assert E.region_mask is E.region_mask
+        T, X, V = E.grid.coords
+        assert np.array_equal(E.region_mask, E.region.contains(T, X, V))
+
     def test_rejects_bad_r0(self):
         with pytest.raises(ValueError):
             generate_hypothesis_pair(0, k=1, m=3, r0=1.5)
@@ -227,3 +261,27 @@ class TestRle:
             rle_to_mask("not a header\n1 2 3\n")
         with pytest.raises(ValueError):
             rle_to_mask("shape 2 2\n1 1\n")
+
+    @pytest.mark.parametrize("mask, text", [
+        (np.array([[True, True, False], [False, True, True]]),
+         "shape 2 3\n0 2 2 2\n"),
+        (np.zeros((2, 3), bool), "shape 2 3\n6\n"),
+        (np.ones((2, 2), bool), "shape 2 2\n0 4\n"),
+        (np.ones((1, 1, 1), bool), "shape 1 1 1\n0 1\n"),
+        (np.zeros((1, 1, 1), bool), "shape 1 1 1\n1\n"),
+    ])
+    def test_golden_text(self, mask, text):
+        assert mask_to_rle(mask) == text
+        assert np.array_equal(rle_to_mask(text), mask)
+
+    @pytest.mark.parametrize("text", [
+        "shape 2 2\n2 -1 3\n",                   # negative run
+        "shape 2 2\n-1 5\n",
+        "shape 2 2\n3 2\n",                      # runs overflow the shape
+        "shape 2 2\n1" + "0" * 30 + "\n",        # beyond any fixed width
+        "shape 2 3\n2 2\n",                      # runs stop short
+        "shape 2 3\n",
+    ])
+    def test_rejects_bad_run_lists(self, text):
+        with pytest.raises(ValueError, match="run lengths"):
+            rle_to_mask(text)
