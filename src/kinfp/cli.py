@@ -27,8 +27,7 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +64,7 @@ from .inkspots import (
     generate_hypothesis_pair,
     verify_inkspots,
 )
-from .kolmogorov import build_cutoff, kernel_eval
+from .kolmogorov import kernel_eval
 from .report import VerificationReport
 
 logger = logging.getLogger("kinfp")
@@ -210,15 +209,9 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _row(exp: str, index: int, seed: int, report) -> dict:
-    if isinstance(report, VerificationReport):
-        rec = report.to_dict()
-        rec.update(
-            id=f"{exp}/{report.inequality}/{index}",
-            seed=seed,
-        )
-        return rec
-    return dict(report, id=f"{exp}/{report['inequality']}/{index}", seed=seed)
+def _row(exp: str, index: int, seed: int, report: VerificationReport) -> dict:
+    return dict(report.to_dict(), id=f"{exp}/{report.inequality}/{index}",
+                seed=seed)
 
 
 def _run_geometry_check(cfg: ExperimentConfig) -> list[dict]:
@@ -235,10 +228,9 @@ def _run_geometry_check(cfg: ExperimentConfig) -> list[dict]:
     gap = (np.abs(a.t - b.t) + np.max(np.abs(a.x - b.x), axis=-1)
            + np.max(np.abs(a.v - b.v), axis=-1))
     err = float(np.max(gap / scale))
-    rows = [_row("geometry-check", 0, cfg.seed, {
-        "inequality": "group-associativity", "lhs": err, "rhs": 1e-12,
-        "params": {"samples": n}, "passed": err <= 1e-12,
-    })]
+    rows = [_row("geometry-check", 0, cfg.seed, VerificationReport(
+        "group-associativity", err, 1e-12, params={"samples": n},
+        passed=err <= 1e-12))]
     fails = 0
     count = int(cfg.params["count"]) * 40
     for i in range(count):
@@ -253,10 +245,9 @@ def _run_geometry_check(cfg: ExperimentConfig) -> list[dict]:
             continue
         checks = check_stacking(seq)
         fails += not all(checks.values())
-    rows.append(_row("geometry-check", 1, cfg.seed, {
-        "inequality": "stacking-closed-form", "lhs": float(fails),
-        "rhs": 0.0, "params": {"bases": count}, "passed": fails == 0,
-    }))
+    rows.append(_row("geometry-check", 1, cfg.seed, VerificationReport(
+        "stacking-closed-form", float(fails), 0.0, params={"bases": count},
+        passed=fails == 0)))
     return rows
 
 
@@ -281,12 +272,11 @@ def _run_kernel_check(cfg: ExperimentConfig) -> list[dict]:
         var_x = float(np.sum(w * X[..., 0] ** 2) / mass)
         err = max(abs(mass - 1.0), abs(var_v - 2 * s), abs(cov_xv - s**2),
                   abs(var_x - 2 * s**3 / 3))
-        rows.append(_row("kernel-check", i, cfg.seed, {
-            "inequality": "kernel-moments", "lhs": err, "rhs": 1e-6,
-            "params": {"s": s, "mass": mass, "var_v": var_v,
-                       "cov_xv": cov_xv, "var_x": var_x},
-            "passed": err <= 1e-6,
-        }))
+        rows.append(_row("kernel-check", i, cfg.seed, VerificationReport(
+            "kernel-moments", err, 1e-6,
+            params={"s": s, "mass": mass, "var_v": var_v, "cov_xv": cov_xv,
+                    "var_x": var_x},
+            passed=err <= 1e-6)))
     return rows
 
 
@@ -311,22 +301,17 @@ def _run_solve(cfg: ExperimentConfig) -> list[dict]:
         T, X, V = grid.coords
         exact = kernel_eval(T, X, V, pole)
         l1 = float(np.sum(np.abs(f.values - exact)) * grid.cell_volume)
-        rows.append(_row("solve", 0, cfg.seed, {
-            "inequality": "kernel-tracking-l1", "lhs": l1, "rhs": 1.0,
-            "params": {"n": list(cfg.grid_n)}, "passed": l1 < 1.0,
-        }))
+        rows.append(_row("solve", 0, cfg.seed, VerificationReport(
+            "kernel-tracking-l1", l1, 1.0, params={"n": list(cfg.grid_n)},
+            passed=l1 < 1.0)))
     res = weak_residual(f, coeffs, "solution", default_test_set(grid, 3,
                                                                 cfg.seed))
-    rows.append(_row("solve", 1, cfg.seed, {
-        "inequality": "weak-residual-solution", "lhs": res["max"],
-        "rhs": res["tol"], "params": {"mode": "solution"},
-        "passed": res["passed"],
-    }))
+    rows.append(_row("solve", 1, cfg.seed, VerificationReport(
+        "weak-residual-solution", res["max"], res["tol"],
+        params={"mode": "solution"}, passed=res["passed"])))
     neg = float(np.min(f.values))
-    rows.append(_row("solve", 2, cfg.seed, {
-        "inequality": "positivity-preservation", "lhs": -neg, "rhs": 1e-12,
-        "params": {}, "passed": neg >= -1e-12,
-    }))
+    rows.append(_row("solve", 2, cfg.seed, VerificationReport(
+        "positivity-preservation", -neg, 1e-12, passed=neg >= -1e-12)))
     return rows
 
 
@@ -405,11 +390,10 @@ def _run_weak_harnack(cfg: ExperimentConfig) -> list[dict]:
     rep = verify_weak_harnack(const, p=p, omega=omega)
     vol = omega**2 * (2 * omega**3) ** cfg.d * (2 * omega) ** cfg.d
     exact = vol ** (1.0 / p)
-    rec = rep.to_dict()
-    rec["passed"] = bool(rep.passed
-                         and abs(rep.fitted_c - exact) <= tol * max(exact, 1))
-    rec["params"]["expected_c"] = exact
-    rows = [_row("weak-harnack", 0, cfg.seed, rec)]
+    rep = replace(
+        rep, params={**rep.params, "expected_c": exact},
+        passed=rep.passed and abs(rep.fitted_c - exact) <= tol * max(exact, 1))
+    rows = [_row("weak-harnack", 0, cfg.seed, rep)]
     for i in range(int(cfg.params["count"])):
         seed = cfg.seed * 1021 + i
         f, _ = make_kernel_mixture(seed, d=cfg.d)
@@ -441,14 +425,12 @@ def _run_holder(cfg: ExperimentConfig) -> list[dict]:
         passed = bool(res["constant"] or (
             res["monotone"] and res["r_squared"] is not None
             and res["r_squared"] >= 0.9))
-        rows.append(_row("holder", i, seed, {
-            "inequality": "holder-oscillation-decay",
-            "lhs": res["osc"][-1], "rhs": res["osc"][0],
-            "params": {"alpha_fit": res["alpha_fit"],
-                       "r_squared": res["r_squared"],
-                       "branches": res["branches"], "osc": res["osc"]},
-            "passed": passed,
-        }))
+        rows.append(_row("holder", i, seed, VerificationReport(
+            "holder-oscillation-decay", res["osc"][-1], res["osc"][0],
+            params={"alpha_fit": res["alpha_fit"],
+                    "r_squared": res["r_squared"],
+                    "branches": res["branches"], "osc": res["osc"]},
+            passed=passed)))
     return rows
 
 
@@ -490,9 +472,7 @@ def _csv_bytes(rows: list[dict]) -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "seed", "lhs", "rhs", "fitted_c", "pass"])
     for r in rows:
-        fitted = r.get("fitted_c")
-        if fitted is None and r.get("rhs"):
-            fitted = r["lhs"] / r["rhs"] if r["rhs"] > 0 else None
+        fitted = r["fitted_c"]
         writer.writerow([
             r["id"], r["seed"], repr(float(r["lhs"])), repr(float(r["rhs"])),
             "" if fitted is None else repr(float(fitted)),
@@ -501,8 +481,20 @@ def _csv_bytes(rows: list[dict]) -> bytes:
     return buf.getvalue().encode()
 
 
-def run(config_path: str, seed: int | None = None, out: str | None = None,
-        threads: int = 1) -> int:
+def _run_kinds(cfg: ExperimentConfig) -> list[dict]:
+    """The rows of every configured kind, in dispatch order, each kind's
+    rows sorted by (id, seed)."""
+    kinds = ([k for k in EXPERIMENT_KINDS if k != "all"]
+             if cfg.kind == "all" else [cfg.kind])
+    rows: list[dict] = []
+    for k in kinds:
+        rows.extend(sorted(_RUNNERS[k](cfg),
+                           key=lambda r: (r["id"], r["seed"])))
+    return rows
+
+
+def run(config_path: str, seed: int | None = None,
+        out: str | None = None) -> int:
     """Execute the configured experiments; returns the process exit code."""
     try:
         cfg = load_config(config_path)
@@ -513,14 +505,8 @@ def run(config_path: str, seed: int | None = None, out: str | None = None,
         cfg.seed = seed
     if out is not None:
         cfg.out = out
-    kinds = ([k for k in EXPERIMENT_KINDS if k != "all"]
-             if cfg.kind == "all" else [cfg.kind])
     try:
-        if threads > 1 and len(kinds) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(lambda k: _RUNNERS[k](cfg), kinds))
-        else:
-            parts = [_RUNNERS[k](cfg) for k in kinds]
+        rows = _run_kinds(cfg)
     except (HypothesisError, InkspotsHypothesisError) as exc:
         logger.error("hypothesis failure: %s", exc)
         return 3
@@ -531,9 +517,6 @@ def run(config_path: str, seed: int | None = None, out: str | None = None,
         logger.error("error: %s: %s", type(exc).__name__, exc)
         logger.debug("traceback", exc_info=True)
         return 5
-    rows: list[dict] = []
-    for part in parts:  # merged in dispatch (seed) order
-        rows.extend(sorted(part, key=lambda r: (r["id"], r["seed"])))
     for r in rows:
         logger.info("check %s [%s]: lhs=%.6e rhs=%.6e %s", r["id"],
                     r["inequality"], r["lhs"], r["rhs"],
@@ -579,12 +562,7 @@ def replay(report_path: str) -> bool:
         lambda_max=c["coefficients"]["lambda_max"],
         cell_size=c["coefficients"]["cell_size"], params=dict(c["params"]),
     )
-    kinds = ([k for k in EXPERIMENT_KINDS if k != "all"]
-             if cfg.kind == "all" else [cfg.kind])
-    rows: list[dict] = []
-    for k in kinds:
-        rows.extend(sorted(_RUNNERS[k](cfg),
-                           key=lambda r: (r["id"], r["seed"])))
+    rows = _run_kinds(cfg)
     old = payload["reports"]
     if len(old) != len(rows):
         return False
@@ -603,8 +581,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to the experiment config")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker pool size (runs, not replays)")
     parser.add_argument("--list-experiments", action="store_true",
                         help="print known experiment kinds and exit")
     parser.add_argument("--replay", metavar="REPORT",
@@ -627,8 +603,7 @@ def main(argv=None) -> int:
         return 0 if ok else 1
     if not args.config:
         parser.error("--config is required (or use --list-experiments)")
-    return run(args.config, seed=args.seed, out=args.out,
-               threads=args.threads)
+    return run(args.config, seed=args.seed, out=args.out)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ remaining variables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,10 +34,10 @@ __all__ = [
     "level_set_measure",
     "norms",
     "RegionNorms",
+    "grad_v",
+    "grad_v_sq",
     "h_minus1_norm",
     "make_coefficients",
-    "save_field_csv",
-    "load_field_csv",
 ]
 
 Region = BoxCylinder | Cylinder | StackedCylinder
@@ -104,39 +105,50 @@ class Grid:
     def cell_volume(self) -> float:
         return self.dt * self.dx**self.d * self.dv**self.d
 
+    def _axis_lines(self, axes: np.ndarray, first: int) -> list[np.ndarray]:
+        """Row i of ``axes`` reshaped to vary along grid axis first + i only."""
+        lines = []
+        for i, line in enumerate(axes):
+            sh = [1] * (1 + 2 * self.d)
+            sh[first + i] = line.size
+            lines.append(line.reshape(sh))
+        return lines
+
     @cached_property
-    def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcastable node coordinates (T, X, V) with X, V of shape (..., d)."""
-        shape = self.shape
+    def open_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Node coordinates (T, X, V) as open arrays that broadcast to
+        ``coords``: T varies along the time axis only, X along the x axes
+        and V along the v axes (each with a trailing axis of length d)."""
         T = self.t_nodes.reshape((self.n_t,) + (1,) * (2 * self.d))
-        T = np.broadcast_to(T, shape)
-        axes_x = []
-        for i in range(self.d):
-            sh = [1] * (1 + 2 * self.d)
-            sh[1 + i] = self.n_x
-            axes_x.append(np.broadcast_to(self.x_axis[i].reshape(sh), shape))
-        axes_v = []
-        for i in range(self.d):
-            sh = [1] * (1 + 2 * self.d)
-            sh[1 + self.d + i] = self.n_v
-            axes_v.append(np.broadcast_to(self.v_axis[i].reshape(sh), shape))
-        X = np.stack(axes_x, axis=-1)
-        V = np.stack(axes_v, axis=-1)
+        X = np.stack(np.broadcast_arrays(*self._axis_lines(self.x_axis, 1)),
+                     axis=-1)
+        V = np.stack(np.broadcast_arrays(
+            *self._axis_lines(self.v_axis, 1 + self.d)), axis=-1)
         return T, X, V
 
+    @cached_property
+    def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Broadcastable node coordinates (T, X, V) with X, V of shape (..., d).
+
+        X and V keep the memory layout ``np.stack`` gives the broadcast axis
+        lines: sums over products with them depend on it in the last bit."""
+        shape = self.shape
+        X, V = (np.stack([np.broadcast_to(a, shape) for a in lines], axis=-1)
+                for lines in (self._axis_lines(self.x_axis, 1),
+                              self._axis_lines(self.v_axis, 1 + self.d)))
+        return np.broadcast_to(self.open_coords[0], shape), X, V
+
     def region_mask(self, region: Region | None) -> np.ndarray:
+        """Which nodes lie in the region, tested on the open coordinates so
+        that no full-grid coordinate temporaries are built."""
         if region is None:
             return np.ones(self.shape, dtype=bool)
-        T, X, V = self.coords
-        return region.contains(T, X, V)
+        return region.contains(*self.open_coords)
 
     def sample(self, fn) -> "ScalarField":
         """Sample a callable fn(t, x, v) -> values at all nodes."""
         T, X, V = self.coords
         return ScalarField(self, np.asarray(fn(T, X, V), dtype=float))
-
-    def refined(self, factor: int = 2) -> "Grid":
-        return Grid(self.domain, self.n_t * factor, self.n_x * factor, self.n_v * factor)
 
 
 @dataclass(frozen=True)
@@ -194,44 +206,82 @@ class NegSobolevInput:
 
 def level_set_measure(f: ScalarField, predicate, region: Region | None = None) -> float:
     """Sum of cell volumes whose center satisfies the predicate inside the region."""
-    mask = f.grid.region_mask(region)
-    if region is not None and not mask.any():
-        raise ValueError("region does not overlap the grid domain")
-    sel = np.asarray(predicate(f.values), dtype=bool) & mask
-    return float(sel.sum()) * f.grid.cell_volume
+    n = norms(f, region)
+    return float(np.count_nonzero(predicate(n.values))) * n.cell_volume
 
 
 @dataclass(frozen=True)
 class RegionNorms:
-    sup: float
-    inf: float
-    measure: float
-    _values: np.ndarray
-    _cell_volume: float
+    """Cell quadrature over a region: ``values`` holds the field at the cell
+    centers inside it, each cell of volume ``cell_volume``."""
+
+    values: np.ndarray
+    cell_volume: float
+
+    @property
+    def sup(self) -> float:
+        return float(self.values.max())
+
+    @property
+    def inf(self) -> float:
+        return float(self.values.min())
 
     @property
     def osc(self) -> float:
         return self.sup - self.inf
 
+    @property
+    def measure(self) -> float:
+        return self.values.size * self.cell_volume
+
+    @property
+    def integral(self) -> float:
+        return float(self.values.sum()) * self.cell_volume
+
     def lp(self, p: float) -> float:
+        """The Lp norm; at p = 2 the root is ``sqrt``, which can differ from
+        ``** 0.5`` in the last bit."""
         if p <= 0:
             raise ValueError(f"Lp exponent must be positive, got {p}")
-        return float((np.abs(self._values) ** p).sum() * self._cell_volume) ** (1.0 / p)
+        total = float((np.abs(self.values) ** p).sum() * self.cell_volume)
+        return math.sqrt(total) if p == 2 else total ** (1.0 / p)
+
+    def fraction(self, predicate) -> float:
+        """Share of the region's cells whose value satisfies the predicate."""
+        return float(np.count_nonzero(predicate(self.values))) / self.values.size
+
+    def excess(self, level: float = 0.0) -> "RegionNorms":
+        """The same quadrature of the clipped excess (f - level)_+."""
+        return RegionNorms(np.clip(self.values - level, 0.0, None),
+                           self.cell_volume)
 
 
 def norms(f: ScalarField, region: Region | None = None) -> RegionNorms:
-    """Cell-quadrature Lp / sup / inf / oscillation over a region."""
+    """Cell quadrature of f over a region (the whole grid when None);
+    ValueError when no cell center lies inside the region."""
+    if region is None:
+        return RegionNorms(f.values.ravel(), f.grid.cell_volume)
     mask = f.grid.region_mask(region)
     if not mask.any():
         raise ValueError("region does not overlap the grid domain")
-    vals = f.values[mask]
-    return RegionNorms(
-        sup=float(vals.max()),
-        inf=float(vals.min()),
-        measure=float(mask.sum()) * f.grid.cell_volume,
-        _values=vals,
-        _cell_volume=f.grid.cell_volume,
-    )
+    return RegionNorms(f.values[mask], f.grid.cell_volume)
+
+
+def grad_v(f: ScalarField) -> np.ndarray:
+    """Centered-difference velocity gradient at every node, shape
+    grid.shape + (d,)."""
+    g = f.grid
+    out = np.empty(g.shape + (g.d,))
+    for k in range(g.d):
+        out[..., k] = np.gradient(f.values, g.dv, axis=1 + g.d + k)
+    return out
+
+
+def grad_v_sq(f: ScalarField) -> ScalarField:
+    """|grad_v f|^2 at every node."""
+    sq = grad_v(f)
+    np.square(sq, out=sq)
+    return ScalarField(f.grid, sq.sum(axis=-1))
 
 
 def _dirichlet_laplacian_1d(n: int, h: float) -> sp.csc_matrix:
@@ -291,7 +341,7 @@ def h_minus1_norm(H: ScalarField | NegSobolevInput, region: Region | None = None
     (t, x) cell centers fall outside its time interval and x-ball are
     dropped.
     """
-    grid = H.grid if isinstance(H, NegSobolevInput) else H.grid
+    grid = H.grid
     rhs = _weak_rhs(H)
     d = grid.d
     n_slices = grid.n_t * grid.n_x**d
@@ -316,14 +366,11 @@ def h_minus1_norm(H: ScalarField | NegSobolevInput, region: Region | None = None
     energy = np.maximum(energy, 0.0)
 
     if region is not None:
-        T, X, _ = grid.coords
-        # collapse the v axes: keep one representative v-index
-        sl = (slice(None),) * (1 + d) + (0,) * d
-        keep_t = (region.t_min < T[sl]) & (T[sl] <= region.t_max) if isinstance(region, BoxCylinder) else None
         if not isinstance(region, BoxCylinder):
             raise ValueError("h_minus1_norm region must be a BoxCylinder")
-        keep_x = np.sqrt(((X[sl] - region.x_center) ** 2).sum(axis=-1)) < region.rx
-        keep = (keep_t & keep_x).reshape(n_slices)
+        T, X, _ = grid.open_coords
+        # one node per (t, x) slice, at the region's velocity center
+        keep = region.contains(T, X, region.v_center).reshape(n_slices)
         energy = energy[keep]
 
     return float(np.sqrt(energy.sum() * grid.dt * grid.dx**d))
@@ -439,20 +486,3 @@ def make_coefficients(
         return CoefficientField(grid, A, B, S_arr, lam, Lam)
 
     raise ValueError(f"unknown coefficient kind {kind!r}")
-
-
-def save_field_csv(f: ScalarField, path) -> None:
-    """Snapshot as CSV with column order t, x..., v..., value."""
-    T, X, V = f.grid.coords
-    d = f.grid.d
-    cols = [T.ravel()]
-    cols += [X[..., i].ravel() for i in range(d)]
-    cols += [V[..., i].ravel() for i in range(d)]
-    cols.append(f.values.ravel())
-    header = ",".join(["t"] + [f"x{i}" for i in range(d)] + [f"v{i}" for i in range(d)] + ["value"])
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
-
-
-def load_field_csv(grid: Grid, path) -> ScalarField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return ScalarField(grid, data[:, -1].reshape(grid.shape))

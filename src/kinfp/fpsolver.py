@@ -16,18 +16,23 @@ Scheme: operator splitting, first order in time.
   homogenization behavior for discontinuous A.
 * drift B . grad_v: explicit upwind.
 
-The splitting is monotone, so nonnegative data, source, and boundary values
-produce a nonnegative solution.  With periodic x and zero-flux v boundaries
-the divergence-form discretization conserves mass exactly (up to roundoff).
+Boundary conditions: in x, ``dirichlet`` (zero inflow), ``copy-out``
+(the edge value continues outward) or ``periodic``; in v, ``dirichlet``
+(a zero ghost cell one cell beyond each edge) or ``zero-flux`` (no flux
+through the outer faces).  Dirichlet data are always zero.
+
+The splitting is monotone, so nonnegative data and source produce a
+nonnegative solution.  With periodic x and zero-flux v boundaries the
+divergence-form discretization conserves mass exactly (up to roundoff).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import BoxCylinder, CoefficientField, Grid, ScalarField
+from .fields import BoxCylinder, CoefficientField, Grid, ScalarField, grad_v, norms
 from .report import VerificationReport
 
 __all__ = [
@@ -38,6 +43,8 @@ __all__ = [
     "Bump",
     "default_test_set",
     "weak_residual",
+    "transport_pairing",
+    "first_order_tol",
     "local_bound_check",
 ]
 
@@ -51,7 +58,8 @@ class NumericalAbort(RuntimeError):
 
 
 _BC_X = ("dirichlet", "copy-out", "periodic")
-_BC_V = ("dirichlet", "copy-out", "zero-flux")
+_BC_V = ("dirichlet", "zero-flux")
+_CFL_SAFETY = 0.9  # dt may use this share of each explicit step limit
 
 
 @dataclass
@@ -59,9 +67,7 @@ class SolverConfig:
     """Everything one time integration needs.
 
     ``initial`` is the slice at the opening time of the grid's window (the
-    grid itself stores only the n_t later slices).  ``boundary_value`` is a
-    constant or, at d = 1, a callable (t, x, v) -> value used for Dirichlet
-    inflow and ghost cells.
+    grid itself stores only the n_t later slices).
     """
 
     grid: Grid
@@ -69,9 +75,7 @@ class SolverConfig:
     initial: np.ndarray
     bc_x: str = "dirichlet"
     bc_v: str = "dirichlet"
-    boundary_value: object = 0.0
     transport_interp: str = "linear"
-    cfl_safety: float = 0.9
 
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=float)
@@ -86,8 +90,6 @@ class SolverConfig:
             raise ValueError(f"bc_v must be one of {_BC_V}")
         if self.transport_interp not in ("linear", "pchip"):
             raise ValueError("transport_interp must be 'linear' or 'pchip'")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1]")
         self.coeffs.validate()
         self._check_cfl()
 
@@ -101,18 +103,14 @@ class SolverConfig:
         if bmax > 0.0:
             limits["drift"] = g.dv / bmax
         for name, lim in limits.items():
-            if g.dt > self.cfl_safety * lim + 1e-15:
+            if g.dt > _CFL_SAFETY * lim + 1e-15:
                 raise CFLError(
-                    f"dt = {g.dt:.3e} exceeds {self.cfl_safety} * {lim:.3e} "
+                    f"dt = {g.dt:.3e} exceeds {_CFL_SAFETY} * {lim:.3e} "
                     f"({name} limit)"
                 )
 
 
-def _boundary_scalar(bv) -> float | None:
-    return float(bv) if not callable(bv) else None
-
-
-def _shift_linear(block, cells, bc, fill):
+def _shift_linear(block, cells, bc):
     """Per-column constant shift of axis 0 with linear interpolation.
 
     block: (n, m, r); cells: shift in cell units per column (m,).  Linear
@@ -133,8 +131,8 @@ def _shift_linear(block, cells, bc, fill):
         g0 = block[np.clip(idx0, 0, n - 1), col]
         g1 = block[np.clip(idx1, 0, n - 1), col]
         if bc == "dirichlet":
-            g0 = np.where(((idx0 < 0) | (idx0 >= n))[..., None], fill, g0)
-            g1 = np.where(((idx1 < 0) | (idx1 >= n))[..., None], fill, g1)
+            g0 = np.where(((idx0 < 0) | (idx0 >= n))[..., None], 0.0, g0)
+            g1 = np.where(((idx1 < 0) | (idx1 >= n))[..., None], 0.0, g1)
     return (1.0 - frac)[None, :, None] * g0 + frac[None, :, None] * g1
 
 
@@ -148,7 +146,7 @@ def _pchip_slopes(slopes):
     return d
 
 
-def _shift_pchip(block, cells, bc, fill):
+def _shift_pchip(block, cells, bc):
     """Per-column constant shift with monotone cubic (pchip) interpolation.
 
     Derivative limiting keeps the interpolant inside the local data range
@@ -176,9 +174,7 @@ def _shift_pchip(block, cells, bc, fill):
             lo = np.repeat(block[:1], G, axis=0)
             hi = np.repeat(block[-1:], G, axis=0)
         else:
-            pad_shape = (G,) + block.shape[1:]
-            lo = np.broadcast_to(fill, pad_shape).astype(float)
-            hi = lo
+            lo = hi = np.zeros((G,) + block.shape[1:])
         ye = np.concatenate([lo, block, hi], axis=0)
         slopes = ye[1:] - ye[:-1]
         d = np.concatenate(
@@ -199,7 +195,7 @@ def _shift_pchip(block, cells, bc, fill):
     )
 
 
-def _advect(f, grid, dt, bc, fill, interp="linear"):
+def _advect(f, grid, dt, bc, interp="linear"):
     """Shift each x-axis by dt * (matching v coordinate)."""
     d = grid.domain.d
     shifter = _shift_linear if interp == "linear" else _shift_pchip
@@ -211,7 +207,7 @@ def _advect(f, grid, dt, bc, fill, interp="linear"):
         nx, nv = work.shape[0], work.shape[1]
         block = work.reshape(nx, nv, -1)
         cells = dt * grid.v_axis[a] / grid.dx  # shift in cell units, per v
-        shifted = shifter(block, cells, bc, fill)
+        shifted = shifter(block, cells, bc)
         out = np.moveaxis(shifted.reshape(nx, nv, *rest), (0, 1), (a, d + a))
     return out
 
@@ -241,11 +237,10 @@ def _harmonic(a, b):
     return out
 
 
-def _diffuse_axis(f, a_diag, dt, dv, bc, ghost):
+def _diffuse_axis(f, a_diag, dt, dv, bc):
     """Implicit (I - dt * d/dv (a d/dv .)) solve along the last axis.
 
-    ``f`` and ``a_diag`` are shaped (..., n_v); ``ghost`` is the Dirichlet
-    value array broadcastable to the boundary slices.
+    ``f`` and ``a_diag`` are shaped (..., n_v).
     """
     n = f.shape[-1]
     face = _harmonic(a_diag[..., :-1], a_diag[..., 1:])  # interior faces
@@ -257,18 +252,15 @@ def _diffuse_axis(f, a_diag, dt, dv, bc, ghost):
     upper[..., :-1] = -r * face
     diag[..., 1:] += r * face
     diag[..., :-1] += r * face
-    rhs = f.copy()
     if bc == "dirichlet":
-        # ghost cell one dv beyond each edge holds the boundary value
+        # a zero ghost cell one dv beyond each edge
         diag[..., 0] += r * a_diag[..., 0]
         diag[..., -1] += r * a_diag[..., -1]
-        rhs[..., 0] += r * a_diag[..., 0] * np.asarray(ghost[0])
-        rhs[..., -1] += r * a_diag[..., -1] * np.asarray(ghost[1])
-    # zero-flux / copy-out: boundary face flux vanishes, nothing to add
-    return _thomas(lower, diag, upper, rhs)
+    # zero-flux: boundary face flux vanishes, nothing to add
+    return _thomas(lower, diag, upper, f)
 
 
-def _upwind_drift(f, B, dt, dv, bc, fill):
+def _upwind_drift(f, B, dt, dv, bc):
     """Explicit upwind step for + B . grad_v f along every v-axis."""
     d = B.shape[-1]
     ndim = f.ndim
@@ -282,9 +274,9 @@ def _upwind_drift(f, B, dt, dv, bc, fill):
         fwd[..., :-1] = w[..., 1:] - w[..., :-1]
         bwd[..., 1:] = w[..., 1:] - w[..., :-1]
         if bc == "dirichlet":
-            fwd[..., -1] = fill - w[..., -1]
-            bwd[..., 0] = w[..., 0] - fill
-        else:  # zero-flux / copy-out: constant extension
+            fwd[..., -1] = 0.0 - w[..., -1]  # not -w: keeps +0.0 for w = 0
+            bwd[..., 0] = w[..., 0]
+        else:  # zero-flux: constant extension
             fwd[..., -1] = 0.0
             bwd[..., 0] = 0.0
         upd = np.where(b > 0.0, b * fwd, b * bwd) * (dt / dv)
@@ -317,55 +309,30 @@ def solve(config: SolverConfig) -> ScalarField:
     d = g.domain.d
     dt, dv = g.dt, g.dv
     A, B, S = config.coeffs.A, config.coeffs.B, config.coeffs.S
-    bval = config.boundary_value
-    scalar_b = _boundary_scalar(bval)
-    if scalar_b is None and d != 1:
-        raise NotImplementedError("callable boundary values require d = 1")
     has_drift = bool(np.any(B != 0.0))
     has_source = S is not None and bool(np.any(S != 0.0))
 
     traj = np.empty(g.shape)
     f = config.initial.copy()
     for n in range(g.n_t):
-        t_new = g.t_nodes[n]
-        if scalar_b is not None:
-            fill_x = fill_v = scalar_b
-            ghost = (scalar_b, scalar_b)
-        else:
-            # d = 1: evaluate the extension on the inflow faces / ghost cells
-            xb = g.domain.x_center[0] + g.domain.rx
-            xa = g.domain.x_center[0] - g.domain.rx
-            vv = g.v_axis[0]
-            fill_x = np.where(vv > 0, bval(t_new, xa, vv), bval(t_new, xb, vv))
-            fill_x = fill_x[None, :, None]
-            vlo = g.domain.v_center[0] - g.domain.rv - 0.5 * dv
-            vhi = g.domain.v_center[0] + g.domain.rv + 0.5 * dv
-            xx = g.x_axis[0]
-            ghost = (bval(t_new, xx, vlo), bval(t_new, xx, vhi))
-            fill_v = None
-        f = _advect(f, g, dt, config.bc_x, fill_x, config.transport_interp)
+        f = _advect(f, g, dt, config.bc_x, config.transport_interp)
         if has_drift:
-            fv = scalar_b if scalar_b is not None else 0.0
-            f = _upwind_drift(f, B[n], dt, dv, config.bc_v, fv)
+            f = _upwind_drift(f, B[n], dt, dv, config.bc_v)
         if d > 1:
             f = _cross_diffusion(f, A[n], d, dt, dv)
         for j in range(d):
             axis = f.ndim - d + j
             w = np.moveaxis(f, axis, -1)
             a_jj = np.moveaxis(A[n][..., j, j], axis, -1)
-            if config.bc_v == "dirichlet":
-                gpair = ghost if scalar_b is None else (scalar_b, scalar_b)
-            else:
-                gpair = (0.0, 0.0)
-            w = _diffuse_axis(w, a_jj, dt, dv, config.bc_v, gpair)
+            w = _diffuse_axis(w, a_jj, dt, dv, config.bc_v)
             f = np.moveaxis(w, -1, axis)
         if has_source:
             f = f + dt * S[n]
         if not np.all(np.isfinite(f)):
             bad = int(np.count_nonzero(~np.isfinite(f)))
             raise NumericalAbort(
-                f"non-finite values at step {n + 1}/{g.n_t} (t = {t_new:.6g}): "
-                f"{bad} bad nodes"
+                f"non-finite values at step {n + 1}/{g.n_t} "
+                f"(t = {g.t_nodes[n]:.6g}): {bad} bad nodes"
             )
         traj[n] = f
     return ScalarField(g, traj)
@@ -483,21 +450,16 @@ def weak_residual(
 
     is computed on the grid.  mode 'super' requires every value >= -tol,
     'sub' requires <= tol, 'solution' requires |value| <= tol.  When tol is
-    None a first-order default (dt + dx + dv) * scale is used.
+    None the first-order default ``first_order_tol(f, sup|S|)`` is used.
     """
     if mode not in ("solution", "super", "sub"):
         raise ValueError("mode must be solution|super|sub")
     g = f.grid
-    d = g.domain.d
     T, X, V = g.coords
     dvol = g.cell_volume
-    grad_f = np.stack(
-        [np.gradient(f.values, g.dv, axis=1 + d + k) for k in range(d)], axis=-1
-    )
-    s_sup = float(np.max(np.abs(coeffs.S)))
+    grad_f = grad_v(f)
     if tol is None:
-        scale = max(float(np.max(np.abs(f.values))), s_sup, 1e-30)
-        tol = 10.0 * scale * (g.dt + g.dx + g.dv)
+        tol = first_order_tol(f, float(np.max(np.abs(coeffs.S))))
     a_grad = np.einsum("...jk,...k->...j", coeffs.A, grad_f)
     drift = np.einsum("...k,...k->...", coeffs.B, grad_f)
     src = coeffs.S
@@ -506,10 +468,9 @@ def weak_residual(
         if not phi.support_inside(g.domain):
             raise ValueError("test function support exits the domain")
         pv = phi.value(T, X, V)
-        transport = phi.dt(T, X, V) + np.einsum("...k,...k->...", V, phi.grad_x(T, X, V))
         gv_phi = phi.grad_v(T, X, V)
         val = (
-            -np.sum(f.values * transport)
+            transport_pairing(f, phi)
             + np.sum(np.einsum("...k,...k->...", a_grad, gv_phi))
             - np.sum((drift + src) * pv)
         ) * dvol
@@ -529,6 +490,22 @@ def weak_residual(
         "min": float(arr.min()),
         "passed": passed,
     }
+
+
+def transport_pairing(f: ScalarField, phi: Bump) -> float:
+    """-sum of f (d_t + v.grad_x) phi over f's nodes: the weak transport
+    derivative of f tested against phi, per unit cell volume."""
+    T, X, V = f.grid.coords
+    return -np.sum(f.values * (
+        phi.dt(T, X, V) + np.einsum("...k,...k->...", V, phi.grad_x(T, X, V))))
+
+
+def first_order_tol(f: ScalarField, floor: float = 0.0) -> float:
+    """Default tolerance of the first-order weak checks:
+    10 scale (dt + dx + dv) with scale = max(sup|f|, floor, 1e-30)."""
+    g = f.grid
+    scale = max(float(np.max(np.abs(f.values))), floor, 1e-30)
+    return 10.0 * scale * (g.dt + g.dx + g.dv)
 
 
 def local_bound_check(
@@ -553,14 +530,8 @@ def local_bound_check(
     )
     if not all(gaps):
         raise ValueError("q_int must sit strictly inside q_ext")
-    g = f.grid
-    m_int = g.region_mask(q_int)
-    m_ext = g.region_mask(q_ext)
-    if not m_int.any() or not m_ext.any():
-        raise ValueError("regions do not overlap the grid")
-    lhs = float(np.max(f.values[m_int]))
-    plus = np.clip(f.values[m_ext], 0.0, None)
-    l2 = float(np.sqrt(np.sum(plus**2) * g.cell_volume))
+    lhs = norms(f, q_int).sup
+    l2 = norms(f, q_ext).excess().lp(2.0)
     rhs = l2 + source_sup
     return VerificationReport(
         inequality="local-upper-bound",

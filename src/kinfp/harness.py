@@ -27,10 +27,13 @@ from .fields import (
     BoxCylinder,
     Grid,
     NegSobolevInput,
+    RegionNorms,
     ScalarField,
+    grad_v_sq,
     h_minus1_norm,
+    norms,
 )
-from .fpsolver import Bump, SolverConfig, solve
+from .fpsolver import Bump, SolverConfig, first_order_tol, solve, transport_pairing
 from .geometry import (
     Cylinder,
     PhasePoint,
@@ -42,7 +45,6 @@ from .geometry import (
     q_one,
     q_plus,
     q_pos,
-    q_zero,
     stack_cylinders,
 )
 from .kolmogorov import (
@@ -50,6 +52,7 @@ from .kolmogorov import (
     log_kernel_eval,
     solve_cauchy,
     theta0_parameters,
+    zero_fraction,
 )
 from .report import VerificationReport
 
@@ -58,6 +61,7 @@ __all__ = [
     "make_kernel_mixture",
     "as_evaluator",
     "sample_on_box",
+    "local_norms",
     "normalize_by_infimum",
     "verify_weak_poincare",
     "verify_local_poincare",
@@ -117,18 +121,6 @@ def sample_on_box(f, box: BoxCylinder, n=(16, 16, 16)) -> ScalarField:
     return grid.sample(as_evaluator(f))
 
 
-def _box_stats(f, box: BoxCylinder, n=(16, 16, 16)):
-    vals = sample_on_box(f, box, n).values
-    return float(vals.min()), float(vals.max())
-
-
-def _box_lp(f, box: BoxCylinder, p: float, n=(16, 16, 16)) -> float:
-    fld = sample_on_box(f, box, n)
-    return float(
-        (np.sum(np.abs(fld.values) ** p) * fld.grid.cell_volume) ** (1.0 / p)
-    )
-
-
 def _cylinder_grid(Q: Cylinder, n) -> Grid:
     """Local grid over the box hull of Q.  The hull's x radius is widened by
     1e-15; the node placement, hence every recorded quadrature value of the
@@ -137,39 +129,26 @@ def _cylinder_grid(Q: Cylinder, n) -> Grid:
     return Grid(replace(hull, rx=hull.rx + 1e-15), *n)
 
 
-def _cylinder_values(f, Q: Cylinder, n) -> np.ndarray:
-    """Values of f at the nodes of Q's local grid that lie inside Q."""
-    grid = _cylinder_grid(Q, n)
-    T, X, V = grid.coords
-    inside = Q.contains(T, X, V)
-    if not inside.any():
-        raise HypothesisError("local grid too coarse for the cylinder")
-    return as_evaluator(f)(T, X, V)[inside]
-
-
-def _cylinder_fraction(f, Q: Cylinder, predicate, n=(16, 16, 16)) -> float:
-    """Fraction of Q (by cell counting) where predicate(f) holds."""
-    vals = _cylinder_values(f, Q, n)
-    return float(np.count_nonzero(predicate(vals))) / vals.size
-
-
-def _cylinder_inf(f, Q: Cylinder, n=(16, 16, 16)) -> float:
-    return float(_cylinder_values(f, Q, n).min())
-
-
-def _box_fraction(f, box: BoxCylinder, predicate, n=(16, 16, 16)) -> float:
-    vals = sample_on_box(f, box, n).values
-    return float(np.count_nonzero(predicate(vals))) / vals.size
+def local_norms(f, region: BoxCylinder | Cylinder,
+                n=(16, 16, 16)) -> RegionNorms:
+    """Quadrature of the evaluator f over a region on the region's own local
+    grid of n nodes: the box itself, or a slanted cylinder's box hull with
+    the nodes outside the cylinder dropped.  A cylinder that holds no node
+    violates the hypothesis that its grid resolves it."""
+    if not isinstance(region, Cylinder):
+        return norms(sample_on_box(f, region, n))
+    fld = _cylinder_grid(region, n).sample(as_evaluator(f))
+    try:
+        return norms(fld, region)
+    except ValueError:
+        raise HypothesisError("local grid too coarse for the cylinder") from None
 
 
 def normalize_by_infimum(f, region: BoxCylinder | Cylinder, n=(16, 16, 16)):
     """The evaluator f / inf f, with the infimum taken over ``region`` on
-    its local grid of n nodes (the box itself, or a slanted cylinder's box
-    hull), so that the result is >= 1 on those nodes."""
-    if isinstance(region, Cylinder):
-        lo = _cylinder_inf(f, region, n)
-    else:
-        lo = _box_stats(f, region, n)[0]
+    its local grid of n nodes (see ``local_norms``), so that the result is
+    >= 1 on those nodes."""
+    lo = local_norms(f, region, n).inf
     ev = as_evaluator(f)
     return lambda T, X, V: ev(T, X, V) / lo
 
@@ -283,7 +262,7 @@ class ExperimentEnsemble:
             s = rng.uniform(0.5, 2.0)
             init += w * np.exp(-((X - cx) ** 2 + (V - cv) ** 2) / (2 * s**2))
         f = solve(SolverConfig(grid, coeffs, init, bc_x="copy-out",
-                               bc_v="copy-out"))
+                               bc_v="zero-flux"))
         meta = {"seed": seed, "coeff_kind": coeff_kind, "lam": lam,
                 "Lam": Lam, "n": list(n), "radius": radius}
         return f, meta
@@ -294,18 +273,17 @@ class ExperimentEnsemble:
 # ---------------------------------------------------------------------------
 
 
-def _grad_v_l2(f: ScalarField, region: BoxCylinder) -> float:
-    g = f.grid
-    mask = g.region_mask(region)
-    total = np.zeros(f.values.shape)
-    for k in range(g.d):
-        total += np.gradient(f.values, g.dv, axis=1 + g.d + k) ** 2
-    return float(np.sqrt(np.sum(total[mask]) * g.cell_volume))
+def _poincare_rhs(f: ScalarField, H: NegSobolevInput) -> float:
+    """|| grad_v f ||_{L2} + || H ||_{L2 H^-1}, both over f's whole grid."""
+    ext = f.grid.domain
+    return math.sqrt(norms(grad_v_sq(f), ext).integral) + h_minus1_norm(H, ext)
 
 
-def _check_transport_control(f: ScalarField, H: NegSobolevInput, tol: float):
-    """Weak check of (d/dt + v.grad_x) f <= H against a few bumps."""
+def _check_transport_control(f: ScalarField, H: NegSobolevInput):
+    """Weak check of (d/dt + v.grad_x) f <= H against a few bumps, to the
+    first-order tolerance."""
     g = f.grid
+    tol = first_order_tol(f)
     T, X, V = g.coords
     dvol = g.cell_volume
     box = g.domain
@@ -317,10 +295,7 @@ def _check_transport_control(f: ScalarField, H: NegSobolevInput, tol: float):
     ]
     for tc, xc, vc in centers:
         phi = Bump(tc, widths[0], xc, widths[1], vc, widths[2])
-        lhs = -np.sum(
-            f.values * (phi.dt(T, X, V)
-                        + np.einsum("...k,...k->...", V, phi.grad_x(T, X, V)))
-        ) * dvol
+        lhs = transport_pairing(f, phi) * dvol
         rhs = np.sum(H.H0.values * phi.value(T, X, V)) * dvol
         rhs -= np.sum(
             np.einsum("...k,...k->...", H.H1.values, phi.grad_v(T, X, V))
@@ -347,31 +322,25 @@ def verify_weak_poincare(
     Hypotheses checked: f >= 0; the zero set of f fills at least alpha0 of
     Q_zero; the transport derivative of f is dominated by H in weak form.
     """
-    g = f.grid
-    d = g.d
+    d = f.grid.d
     if np.any(f.values < 0.0):
         raise HypothesisError("weak Poincare requires f >= 0")
-    qz_mask = g.region_mask(q_zero(eta, d))
-    if not qz_mask.any():
-        raise HypothesisError("grid too coarse: no cells inside Q_zero")
-    zero_frac = float(np.count_nonzero(f.values[qz_mask] == 0.0)) / int(
-        np.count_nonzero(qz_mask)
-    )
+    try:
+        zero_frac = zero_fraction(f, eta)
+    except ValueError as exc:
+        raise HypothesisError(str(exc)) from None
     if zero_frac < alpha0:
         raise HypothesisError(
             f"zero-set measure below {alpha0}: fraction {zero_frac:.3f}"
         )
-    scale = max(float(np.max(f.values)), 1e-30)
     if check_transport:
-        _check_transport_control(f, H, tol=10.0 * scale * (g.dt + g.dx + g.dv))
+        _check_transport_control(f, H)
 
     pars = theta0_parameters(eta, d)
-    m1 = g.region_mask(q_one(d))
-    M = float(np.max(f.values[m1]))
-    excess = np.clip(f.values - pars["theta0"] * M, 0.0, None)
-    lhs = float(np.sqrt(np.sum(excess[m1] ** 2) * g.cell_volume))
-    ext = g.domain
-    rhs = _grad_v_l2(f, ext) + h_minus1_norm(H, ext)
+    q1 = norms(f, q_one(d))
+    M = q1.sup
+    lhs = q1.excess(pars["theta0"] * M).lp(2.0)
+    rhs = _poincare_rhs(f, H)
     return VerificationReport(
         inequality="weak-poincare",
         lhs=lhs,
@@ -399,19 +368,16 @@ def verify_local_poincare(
     the report details for the two-cutoff comparison.
     """
     g = f.grid
-    d = g.d
     if np.any(f.values < 0.0):
         raise HypothesisError("local Poincare requires f >= 0")
-    scale = max(float(np.max(f.values)), 1e-30)
     if check_transport:
-        _check_transport_control(f, H, tol=10.0 * scale * (g.dt + g.dx + g.dv))
+        _check_transport_control(f, H)
     T, X, V = g.coords
     rhs_field = ScalarField(g, f.values * cutoff.lk_psi(T, X, V))
     h = solve_cauchy(rhs_field, boundary_tol=1.0)
-    m1 = g.region_mask(q_one(d))
-    gain = np.clip(f.values - h.values, 0.0, None)
-    lhs = float(np.sqrt(np.sum(gain[m1] ** 2) * g.cell_volume))
-    rhs = _grad_v_l2(f, g.domain) + h_minus1_norm(H, g.domain)
+    gain = ScalarField(g, f.values - h.values)
+    lhs = norms(gain, q_one(g.d)).excess().lp(2.0)
+    rhs = _poincare_rhs(f, H)
     grad_sup = float(
         np.max(np.sqrt(np.sum(cutoff.grad_v_psi(T, X, V) ** 2, axis=-1)))
     )
@@ -455,19 +421,17 @@ def verify_expansion_of_positivity(
             f"source bound fails: sup|S| = {source_sup} > eta0 = {eta0}"
         )
     d = f.grid.d if isinstance(f, ScalarField) else 1
-    qp = q_pos(theta, d)
-    frac = _box_fraction(f, qp, lambda v: v >= 1.0, n_local)
+    frac = local_norms(f, q_pos(theta, d), n_local).fraction(lambda v: v >= 1.0)
     if frac < 0.5:
         raise HypothesisError(
             f"positivity-measure hypothesis fails: fraction {frac:.3f} < 0.5"
         )
     ext = BoxCylinder(-1.0 - theta**2, 0.0, np.zeros(d), 9.0, np.zeros(d), 3.0)
-    lo, _ = _box_stats(f, ext, n_local)
-    if lo < 0.0:
+    if local_norms(f, ext, n_local).inf < 0.0:
         raise HypothesisError("expansion of positivity requires f >= 0")
     th = theta0_parameters(pars.eta, d)
     ell0_formula = eps ** ((2.0 + th["theta0"]) / 3.0) - eps
-    inf_q1 = _box_stats(f, q_one(d), n_local)[0]
+    inf_q1 = local_norms(f, q_one(d), n_local).inf
     return VerificationReport(
         inequality="expansion-of-positivity",
         lhs=inf_q1,
@@ -497,12 +461,12 @@ def verify_minima_measure(
         raise HypothesisError("minima-measure requires m >= 3")
     d = f.grid.d if isinstance(f, ScalarField) else 1
     theta = m ** (-0.5)
-    frac = _box_fraction(f, q_one(d), lambda v: v >= M, n_local)
+    frac = local_norms(f, q_one(d), n_local).fraction(lambda v: v >= M)
     if frac < 0.5:
         raise HypothesisError(
             f"minima-measure hypothesis fails: fraction {frac:.3f} < 0.5"
         )
-    inf_bar = _box_stats(f, q_bar(m, d), n_local)[0]
+    inf_bar = local_norms(f, q_bar(m, d), n_local).inf
     m_formula = None if ell0_empirical in (None, 0.0) else 1.0 / ell0_empirical
     return VerificationReport(
         inequality="minima-measure",
@@ -532,7 +496,7 @@ def verify_pop_large_times(
     if not 0.0 < ell0 < 1.0:
         raise ValueError("ell0 must lie in (0, 1)")
     seq = stack_cylinders(z0, r, omega)  # validates Q_r(z0) inside Q_-
-    frac = _cylinder_fraction(f, seq.base, lambda v: v >= A, n_local)
+    frac = local_norms(f, seq.base, n_local).fraction(lambda v: v >= A)
     if frac < 0.5:
         raise HypothesisError(
             f"large-times hypothesis fails: fraction {frac:.3f} < 0.5"
@@ -540,8 +504,8 @@ def verify_pop_large_times(
     p0 = -math.log(ell0, 4.0)
     rhs = A * (r * r / 4.0) ** p0
     d = z0.d
-    lhs = _box_stats(f, q_plus(omega, d).box_hull(), n_local)[0]
-    stack_infs = [_cylinder_inf(f, Q, n_local) for Q in seq.cylinders]
+    lhs = local_norms(f, q_plus(omega, d).box_hull(), n_local).inf
+    stack_infs = [local_norms(f, Q, n_local).inf for Q in seq.cylinders]
     return VerificationReport(
         inequality="expansion-of-positivity-large-times",
         lhs=lhs,
@@ -558,17 +522,17 @@ def verify_pop_large_times(
 # ---------------------------------------------------------------------------
 
 
-def _framed(f, frame: PhasePoint | None):
-    """Pull an evaluator back along z -> frame o z (a measure-preserving
-    change of variables)."""
+def _source_reduced(f, source_sup: float, frame: PhasePoint | None = None):
+    """The evaluator f + sup|S| t, with f pulled back along z -> frame o z
+    (a measure-preserving change of variables) when a frame is given."""
     ev = as_evaluator(f)
-    if frame is None:
-        return ev
 
-    def moved(T, X, V):
-        return ev(*group_product(frame, PhasePoint(T, X, V)))
+    def reduced(T, X, V):
+        moved = (ev(T, X, V) if frame is None
+                 else ev(*group_product(frame, PhasePoint(T, X, V))))
+        return moved + source_sup * np.asarray(T, dtype=float)
 
-    return moved
+    return reduced
 
 
 def verify_weak_harnack(
@@ -602,18 +566,13 @@ def verify_weak_harnack(
         raise HypothesisError(f"domain gate fails: R0 = {R0} < 18")
     if R0 < 9.0 * r_theta * m**1.5 * omega**3:
         raise HypothesisError("domain gate fails: R0 too small for omega, m")
-    base = _framed(f, frame)
-
-    def reduced(T, X, V):
-        return base(T, X, V) + source_sup * np.asarray(T, dtype=float)
-
+    reduced = _source_reduced(f, source_sup, frame)
     qm = q_minus(omega, d)
     qp = q_plus(omega, d).box_hull()
 
     def fit(nn):
-        lhs = _box_lp(reduced, qm, p, nn)
-        inf_plus = _box_stats(reduced, qp, nn)[0]
-        rhs = inf_plus + source_sup
+        lhs = local_norms(reduced, qm, nn).lp(p)
+        rhs = local_norms(reduced, qp, nn).inf + source_sup
         return lhs, rhs
 
     lhs, rhs = fit(n_local)
@@ -653,21 +612,16 @@ def verify_harnack(
     """
     if R0 < 18.0:
         raise HypothesisError(f"domain gate fails: R0 = {R0} < 18")
-    base = as_evaluator(f)
-
-    def reduced(T, X, V):
-        return base(T, X, V) + source_sup * np.asarray(T, dtype=float)
-
-    qm = q_minus(omega, d)
-    sup_minus = _box_stats(reduced, qm, n_local)[1]
-    inf_plus = _box_stats(reduced, q_plus(omega, d).box_hull(), n_local)[0]
+    reduced = _source_reduced(f, source_sup)
+    sup_minus = local_norms(reduced, q_minus(omega, d), n_local).sup
+    inf_plus = local_norms(reduced, q_plus(omega, d).box_hull(), n_local).inf
     lhs = sup_minus
     rhs = inf_plus + source_sup
     enlarged = BoxCylinder(
         -1.0 - 3.0 * omega**2, -1.0 + 2.0 * omega**2,
         np.zeros(d), 2.0 * omega**3, np.zeros(d), 2.0 * omega,
     )
-    l2_mass = _box_lp(reduced, enlarged, 2.0, n_local)
+    l2_mass = local_norms(reduced, enlarged, n_local).lp(2.0)
     c_local = sup_minus / l2_mass if l2_mass > 0 else None
     wk = verify_weak_harnack(f, p=2.0, omega=omega, source_sup=source_sup,
                              R0=R0, d=d, n_local=n_local)
@@ -702,31 +656,31 @@ def estimate_holder(
         raise ValueError("need at least 2 levels")
     ev = as_evaluator(f)
     base_box = Cylinder(origin(d), r_base).box_hull()
-    lo, hi = _box_stats(ev, base_box, n_local)
+    base = local_norms(ev, base_box, n_local)
     if isinstance(f, ScalarField):
         finest = r_base * rbar ** (-(levels - 1))
         if finest**3 < f.grid.dx or finest < f.grid.dv:
             raise ValueError(
                 "insufficient levels before hitting grid resolution"
             )
-    if hi - lo <= 0.0:
+    if base.osc <= 0.0:
         return {"alpha_fit": None, "osc": [0.0] * levels, "r_squared": None,
                 "branches": ["f"] * levels, "monotone": True,
                 "constant": True}
 
     def normalized(T, X, V):
-        return 2.0 * (ev(T, X, V) - lo) / (hi - lo)
+        return 2.0 * (ev(T, X, V) - base.inf) / base.osc
 
     osc = []
     branches = []
     for k in range(levels):
         r = r_base * rbar ** (-k)
         box = Cylinder(origin(d), r).box_hull()
-        a, b = _box_stats(normalized, box, n_local)
-        osc.append(b - a)
+        osc.append(local_norms(normalized, box, n_local).osc)
         past = Cylinder(PhasePoint(-(r**2), np.zeros(d), np.zeros(d)),
                         r).box_hull()
-        frac_low = _box_fraction(normalized, past, lambda v: v <= 1.0, n_local)
+        frac_low = local_norms(normalized, past, n_local).fraction(
+            lambda v: v <= 1.0)
         branches.append("f" if frac_low <= 0.5 else "2-f")
     osc_arr = np.array(osc)
     monotone = bool(np.all(np.diff(osc_arr) < 0.0))

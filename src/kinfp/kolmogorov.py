@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import BoxCylinder, CoefficientField, Grid, ScalarField
+from .fields import BoxCylinder, CoefficientField, Grid, ScalarField, norms
 from .fpsolver import SolverConfig, solve
 from .geometry import (
     PhasePoint,
@@ -44,6 +44,7 @@ __all__ = [
     "CutoffFunction",
     "build_cutoff",
     "theta0_parameters",
+    "zero_fraction",
     "localization_bound",
 ]
 
@@ -166,7 +167,6 @@ def solve_cauchy(
         initial=np.zeros(grid.shape[1:]),
         bc_x="dirichlet",
         bc_v="dirichlet",
-        boundary_value=0.0,
     )
     h = solve(config)
     total = float(np.sum(np.abs(h.values)))
@@ -447,6 +447,17 @@ def theta0_parameters(eta: float, d: int = 1) -> dict:
     }
 
 
+def zero_fraction(f: ScalarField, eta: float) -> float:
+    """Share of the cells of f's grid inside Q_zero = (-1-eta^2, -1] x
+    B_{eta^3} x B_eta where f vanishes; ValueError when no cell center lies
+    inside Q_zero."""
+    try:
+        qz = norms(f, q_zero(eta, f.grid.d))
+    except ValueError:
+        raise ValueError("grid too coarse: no cells inside Q_zero") from None
+    return qz.fraction(lambda u: u == 0.0)
+
+
 def localization_bound(
     f: ScalarField,
     eta: float,
@@ -494,12 +505,7 @@ def localization_bound(
             or np.any(box.rx < ext.rx - tol) or np.any(box.rv < ext.rv - tol)):
         raise ValueError("grid must cover the cutoff support box")
 
-    # zero-set hypothesis on Q_zero, cell-counted on f's own grid
-    mask_qz = grid.region_mask(q_zero(eta, d))
-    n_qz = int(np.count_nonzero(mask_qz))
-    if n_qz == 0:
-        raise ValueError("grid too coarse: no cells inside Q_zero")
-    zero_frac = float(np.count_nonzero(f.values[mask_qz] == 0.0)) / n_qz
+    zero_frac = zero_fraction(f, eta)
     if zero_frac < alpha0:
         raise ValueError(
             f"zero-set hypothesis fails: fraction {zero_frac:.3f} < {alpha0}"

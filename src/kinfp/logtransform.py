@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import BoxCylinder, ScalarField
+from .fields import BoxCylinder, ScalarField, grad_v_sq, norms
 from .report import VerificationReport
 
 __all__ = [
@@ -70,17 +70,6 @@ def log_transform(f: ScalarField, eps: float) -> ScalarField:
     return ScalarField(f.grid, g_eval(eps + f.values))
 
 
-def _grad_v_sq(f: ScalarField) -> np.ndarray:
-    """Squared velocity gradient via central differences, per grid node."""
-    g = f.grid
-    d = g.domain.d
-    out = np.zeros(f.values.shape)
-    for k in range(d):
-        axis = 1 + d + k
-        out += np.gradient(f.values, g.dv, axis=axis) ** 2
-    return out
-
-
 def energy_estimate_check(
     g: ScalarField,
     region_interior: BoxCylinder,
@@ -100,14 +89,8 @@ def energy_estimate_check(
     """
     if source_sup < 0.0:
         raise ValueError("source_sup must be nonnegative")
-    grid = g.grid
-    inner = grid.region_mask(region_interior)
-    outer = grid.region_mask(region_exterior)
-    if not inner.any() or not outer.any():
-        raise ValueError("regions do not overlap the grid")
-    dvol = grid.cell_volume
-    lhs = 0.5 * lam * float(np.sum(_grad_v_sq(g)[inner])) * dvol
-    mass = float(np.sum(g.values[outer])) * dvol
+    mass = norms(g, region_exterior).integral
+    lhs = 0.5 * lam * norms(grad_v_sq(g), region_interior).integral
     rhs = mass + region_exterior.volume() * (1.0 + source_sup / eps)
     return VerificationReport(
         inequality="log-transform-energy",

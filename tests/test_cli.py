@@ -117,20 +117,24 @@ class TestRun:
         path = write_config(tmp_path, "[experiment]\nkind = holder\n")
         assert cli.run(path, seed=seed, out=str(tmp_path / "out")) in (0, 1)
 
-    def test_threaded_matches_serial(self, tmp_path):
-        body = """
-[experiment]
-kind = inkspots
-seed = 2
-
-[params]
-count = 2
-"""
-        path = write_config(tmp_path, body)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert cli.run(path, out=str(a), threads=1) == 0
-        assert cli.run(path, out=str(b), threads=4) == 0
-        assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
+    @pytest.mark.parametrize(
+        "kind", ["geometry-check", "kernel-check", "solve", "holder"])
+    def test_every_record_is_a_full_report(self, tmp_path, kind):
+        path = write_config(
+            tmp_path, f"[experiment]\nkind = {kind}\n\n[params]\ncount = 1\n")
+        out = tmp_path / "out"
+        assert cli.run(path, out=str(out)) in (0, 1)
+        records = json.loads((out / "report.json").read_text())["reports"]
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert records and len(rows) == len(records)
+        for rec, row in zip(records, rows):
+            assert {"fitted_c", "degenerate", "refinement",
+                    "details"} <= rec.keys()
+            expected = rec["lhs"] / rec["rhs"] if rec["rhs"] > 0 else None
+            assert rec["fitted_c"] == expected
+            assert rec["degenerate"] == (expected is None)
+            assert row.split(",")[4] == (
+                "" if expected is None else repr(float(expected)))
 
 
 class TestReplay:

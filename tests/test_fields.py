@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from kinfp.fields import (
     NegSobolevInput,
     ScalarField,
     VectorField,
+    grad_v,
+    grad_v_sq,
     h_minus1_norm,
     level_set_measure,
     make_coefficients,
     norms,
 )
-from kinfp.geometry import q_zero
+from kinfp.geometry import Cylinder, PhasePoint, q_zero
 
 
 def unit_grid(n=(8, 16, 16), d=1, box=None):
@@ -115,6 +119,92 @@ class TestNorms:
         f = ScalarField(g, np.ones(g.shape))
         with pytest.raises(ValueError):
             norms(f).lp(0.0)
+
+
+def brute_force_values(f, inside):
+    """f at the nodes where inside(t, x, v) holds, one node at a time."""
+    T, X, V = f.grid.coords
+    return np.array([f.values[i] for i in np.ndindex(f.grid.shape)
+                     if inside(T[i], X[i], V[i])])
+
+
+def in_box(box):
+    return lambda t, x, v: bool(
+        box.t_min < t <= box.t_max
+        and np.linalg.norm(x - box.x_center) < box.rx
+        and np.linalg.norm(v - box.v_center) < box.rv)
+
+
+def in_cylinder(Q):
+    z0, r = Q.center, Q.r
+    return lambda t, x, v: bool(
+        -r * r < t - z0.t <= 0.0
+        and np.linalg.norm(x - z0.x - (t - z0.t) * z0.v) < r**3
+        and np.linalg.norm(v - z0.v) < r)
+
+
+class TestRegionQuadrature:
+    """norms over slanted cylinders and at d = 2 against a node-by-node
+    reference."""
+
+    def cases(self):
+        rng = np.random.default_rng(3)
+        # d = 1: a slanted cylinder inside a grid over its neighbourhood
+        q1 = Cylinder(PhasePoint(-0.31, np.array([0.07]), np.array([1.3])),
+                      0.83)
+        g1 = Grid(BoxCylinder(-1.1, 0.0, np.zeros(1), 1.6, np.full(1, 1.3),
+                              0.9), 12, 40, 16)
+        yield ScalarField(g1, rng.normal(size=g1.shape)), q1, in_cylinder(q1)
+        # d = 2: a ball-shaped box and a slanted cylinder
+        box2 = BoxCylinder(-1.0, 0.0, np.zeros(2), 1.0, np.zeros(2), 1.0)
+        g2 = Grid(box2, 5, 7, 6)
+        f2 = ScalarField(g2, rng.normal(size=g2.shape))
+        inner = BoxCylinder(-0.77, -0.1, np.array([0.1, -0.2]), 0.71,
+                            np.array([-0.15, 0.05]), 0.66)
+        yield f2, inner, in_box(inner)
+        q2 = Cylinder(PhasePoint(-0.05, np.array([0.1, 0.0]),
+                                 np.array([0.4, -0.3])), 0.93)
+        yield f2, q2, in_cylinder(q2)
+
+    def test_matches_brute_force(self):
+        for f, region, inside in self.cases():
+            vals = brute_force_values(f, inside)
+            cv = f.grid.cell_volume
+            n = norms(f, region)
+            assert 0 < vals.size < f.values.size
+            assert n.values.size == vals.size
+            assert n.measure == vals.size * cv
+            assert n.sup == vals.max() and n.inf == vals.min()
+            assert n.integral == pytest.approx(math.fsum(vals) * cv,
+                                               rel=1e-12)
+            for p in (1.0, 1.5, 2.0):
+                ref = (math.fsum(np.abs(vals) ** p) * cv) ** (1.0 / p)
+                assert n.lp(p) == pytest.approx(ref, rel=1e-12)
+            level = 0.3
+            ref = math.sqrt(math.fsum(np.maximum(vals - level, 0.0) ** 2) * cv)
+            assert n.excess(level).lp(2.0) == pytest.approx(ref, rel=1e-12)
+            count = int(np.sum(vals >= level))
+            assert n.fraction(lambda u: u >= level) == count / vals.size
+            assert level_set_measure(f, lambda u: u >= level,
+                                     region) == count * cv
+
+    def test_empty_region_rejected(self):
+        f, _, _ = next(self.cases())
+        far = Cylinder(PhasePoint(5.0, np.zeros(1), np.zeros(1)), 0.1)
+        with pytest.raises(ValueError):
+            norms(f, far)
+
+    def test_velocity_gradient_d2(self):
+        # linear in v: central and one-sided differences are both exact
+        g = Grid(BoxCylinder(-1.0, 0.0, np.zeros(2), 1.0, np.zeros(2), 1.0),
+                 3, 4, 5)
+        T, X, V = g.coords
+        f = ScalarField(g, 3.0 * V[..., 0] - 2.0 * V[..., 1] + T * X[..., 0])
+        G = grad_v(f)
+        assert G.shape == g.shape + (2,)
+        assert np.allclose(G[..., 0], 3.0, rtol=0, atol=1e-12)
+        assert np.allclose(G[..., 1], -2.0, rtol=0, atol=1e-12)
+        assert np.allclose(grad_v_sq(f).values, 13.0, rtol=0, atol=1e-11)
 
 
 class TestHMinus1:

@@ -16,6 +16,7 @@ from kinfp.harness import (
     HypothesisError,
     as_evaluator,
     estimate_holder,
+    local_norms,
     make_kernel_mixture,
     normalize_by_infimum,
     sample_on_box,
@@ -49,6 +50,12 @@ class TestEvaluators:
         box = BoxCylinder(-0.1, 0.0, np.zeros(1), 0.1, np.zeros(1), 0.1)
         fld = sample_on_box(f, box, (4, 4, 4))
         assert np.all(fld.values == 7.0)
+
+    def test_local_norms_empty_cylinder_is_a_hypothesis_failure(self):
+        # the slanted section misses every node of a 3 x 2 x 2 hull grid
+        Q = Cylinder(PhasePoint(0.0, np.zeros(1), np.array([5.0])), 0.1)
+        with pytest.raises(HypothesisError):
+            local_norms(constant(1.0), Q, (3, 2, 2))
 
 
 class TestKernelMixture:
