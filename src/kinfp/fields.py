@@ -400,19 +400,26 @@ class CoefficientField:
         self.validate()
 
     def validate(self, slack: float = 1e-12) -> None:
-        if not np.allclose(self.A, np.swapaxes(self.A, -1, -2), rtol=0, atol=1e-13):
-            raise ValueError("A must be symmetric at every node")
+        """Raise ValueError unless A is symmetric with spectrum in
+        [lam, Lam] and |B| <= Lam at every node (NaN fails every test).
+        At d = 1 A is 1x1, so it is symmetric by shape and its entry is
+        its eigenvalue."""
         if self.grid.d == 1:
             eig = self.A[..., 0, 0]
+            bnorm = np.abs(self.B[..., 0])
         else:
+            if not np.allclose(self.A, np.swapaxes(self.A, -1, -2),
+                               rtol=0, atol=1e-13):
+                raise ValueError("A must be symmetric at every node")
             eig = np.linalg.eigvalsh(self.A)
-        if eig.min() < self.lam - slack or eig.max() > self.Lam + slack:
+            bnorm = np.sqrt((self.B**2).sum(axis=-1))
+        lo, hi = eig.min(), eig.max()
+        if not (lo >= self.lam - slack and hi <= self.Lam + slack):
             raise ValueError(
-                f"eigenvalues of A in [{eig.min():.3e}, {eig.max():.3e}] "
+                f"eigenvalues of A in [{lo:.3e}, {hi:.3e}] "
                 f"escape [{self.lam}, {self.Lam}]"
             )
-        bnorm = np.sqrt((self.B**2).sum(axis=-1))
-        if bnorm.max() > self.Lam + slack:
+        if not bnorm.max() <= self.Lam + slack:
             raise ValueError("|B| exceeds the upper ellipticity bound")
 
 
@@ -449,13 +456,15 @@ def make_coefficients(
         B = np.zeros(shape + (d,))
         return CoefficientField(grid, A, B, S_arr, lam, Lam)
 
-    T, X, V = grid.coords
-    cells = _cell_index(T, cell_size)
-    for i in range(d):
-        cells = cells + _cell_index(X[..., i], cell_size) + _cell_index(V[..., i], cell_size)
+    # cell indices per axis line of the open coordinates: the integer sums
+    # below broadcast to the full grid, exactly
+    T, X, V = grid.open_coords
 
     if kind == "checkerboard":
-        hi = (cells % 2).astype(bool)
+        cells = _cell_index(T, cell_size)
+        for i in range(d):
+            cells = cells + _cell_index(X[..., i], cell_size) + _cell_index(V[..., i], cell_size)
+        hi = (cells & 1).astype(bool)  # the parity, negative cells too
         A = np.where(hi[..., None, None], Lam * eye, lam * eye)
         B = np.zeros(shape + (d,))
         return CoefficientField(grid, A, B, S_arr, lam, Lam)

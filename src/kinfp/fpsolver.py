@@ -16,6 +16,16 @@ Scheme: operator splitting, first order in time.
   homogenization behavior for discontinuous A.
 * drift B . grad_v: explicit upwind.
 
+Work split: whatever depends only on the grid or on the coefficients is
+built outside the time loop.  The transport plan (foot rows and
+interpolation weights per x-axis) is built once per solve.  The
+v-diffusion is factored once per distinct coefficient slice: the bands and
+the elimination factors are kept while A's diagonal slice at the next step
+equals the last one factored (a piecewise-constant-in-time A refactors
+only where it jumps), and each step only applies the forward and back
+substitution.  The trajectories are bit for bit those of a solve that
+rebuilds everything at every step.
+
 Boundary conditions: in x, ``dirichlet`` (zero inflow), ``copy-out``
 (the edge value continues outward) or ``periodic``; in v, ``dirichlet``
 (a zero ghost cell one cell beyond each edge) or ``zero-flux`` (no flux
@@ -110,30 +120,47 @@ class SolverConfig:
                 )
 
 
-def _shift_linear(block, cells, bc):
+def _gather_rows(idx, m):
+    """Row numbers ``idx * m + column`` in the (n * m, r) view of a (n, m, r)
+    block, for a foot index ``idx`` of shape (n, m)."""
+    return idx * m + np.arange(m)
+
+
+class _LinearShift:
     """Per-column constant shift of axis 0 with linear interpolation.
 
-    block: (n, m, r); cells: shift in cell units per column (m,).  Linear
+    ``cells`` is the shift in cell units per column (m,).  Linear
     interpolation makes the step a convex combination of node values --
-    monotone and linear in the data.
+    monotone and linear in the data.  The foot rows and the weights depend
+    only on the grid and are built once; a Dirichlet foot outside the line
+    reads a zero row appended after the data, so a step is two gathers and
+    one weighted sum.
     """
-    n, m = block.shape[0], block.shape[1]
-    k = np.floor(cells).astype(int)
-    frac = cells - k
-    base = np.arange(n)[:, None]
-    idx0 = base - k[None, :]
-    idx1 = idx0 - 1
-    col = np.arange(m)[None, :]
-    if bc == "periodic":
-        g0 = block[idx0 % n, col]
-        g1 = block[idx1 % n, col]
-    else:
-        g0 = block[np.clip(idx0, 0, n - 1), col]
-        g1 = block[np.clip(idx1, 0, n - 1), col]
-        if bc == "dirichlet":
-            g0 = np.where(((idx0 < 0) | (idx0 >= n))[..., None], 0.0, g0)
-            g1 = np.where(((idx1 < 0) | (idx1 >= n))[..., None], 0.0, g1)
-    return (1.0 - frac)[None, :, None] * g0 + frac[None, :, None] * g1
+
+    def __init__(self, cells, n, bc):
+        m = cells.size
+        k = np.floor(cells).astype(int)
+        frac = cells - k
+        idx0 = np.arange(n)[:, None] - k[None, :]
+        self.rows = []
+        for idx in (idx0, idx0 - 1):
+            if bc == "periodic":
+                rows = _gather_rows(idx % n, m)
+            else:
+                rows = _gather_rows(np.clip(idx, 0, n - 1), m)
+                if bc == "dirichlet":
+                    rows[(idx < 0) | (idx >= n)] = n * m
+            self.rows.append(rows)
+        self.weights = (1.0 - frac)[None, :, None], frac[None, :, None]
+
+    def __call__(self, block):
+        n, m, r = block.shape
+        src = np.empty((n * m + 1, r))  # the data, then the zero row
+        src[:-1].reshape(block.shape)[...] = block
+        src[-1] = 0.0
+        g0, g1 = (np.take(src, rows, axis=0) for rows in self.rows)
+        w0, w1 = self.weights
+        return w0 * g0 + w1 * g1
 
 
 def _pchip_slopes(slopes):
@@ -146,88 +173,85 @@ def _pchip_slopes(slopes):
     return d
 
 
-def _shift_pchip(block, cells, bc):
+_PCHIP_GHOSTS = 4  # deep ghosts are constant, so their slopes vanish
+
+
+class _PchipShift:
     """Per-column constant shift with monotone cubic (pchip) interpolation.
 
     Derivative limiting keeps the interpolant inside the local data range
     (so positivity is preserved) while the error away from extrema is third
     order in the spacing.  Unlike linear interpolation this map is not
-    linear in the data.
+    linear in the data.  The foot rows and the Hermite basis weights depend
+    only on the grid and are built once; a step computes the node
+    derivatives and gathers.
     """
-    n, m = block.shape[0], block.shape[1]
-    col = np.arange(m)[None, :]
-    base = np.arange(n)[:, None]
-    if bc == "periodic":
-        p = (base - cells[None, :]) % n
-        kf = np.floor(p).astype(int)
+
+    def __init__(self, cells, n, bc):
+        m = cells.size
+        base = np.arange(n)[:, None]
+        G = _PCHIP_GHOSTS
+        if bc == "periodic":
+            p = (base - cells[None, :]) % n
+            kf = np.floor(p).astype(int)
+            left, right = kf, (kf + 1) % n
+        else:
+            p = np.clip(base - cells[None, :], -(G - 2), n + G - 3)
+            kf = np.floor(p).astype(int)
+            left = kf + G
+            right = left + 1
         u = (p - kf)[..., None]
-        slopes = np.roll(block, -1, axis=0) - block  # slope on [i, i+1]
-        d = _pchip_slopes(
-            np.concatenate([slopes[-1:], slopes], axis=0)
-        )  # derivative at node i from slopes [i-1, i]
-        kr = (kf + 1) % n
-        y_l, y_r = block[kf, col], block[kr, col]
-        d_l, d_r = d[kf, col], d[kr, col]
-    else:
-        G = 4  # ghost layers; deep ghosts are constant, so their slopes vanish
-        if bc == "copy-out":
+        u2, u3 = u * u, u * u * u
+        self.basis = (2.0 * u3 - 3.0 * u2 + 1.0, u3 - 2.0 * u2 + u,
+                      -2.0 * u3 + 3.0 * u2, u3 - u2)
+        self.rows = _gather_rows(left, m), _gather_rows(right, m)
+        self.bc = bc
+
+    def _nodes(self, block):
+        """Node values and derivatives on the (ghost-extended) line."""
+        if self.bc == "periodic":
+            slopes = np.roll(block, -1, axis=0) - block  # slope on [i, i+1]
+            # derivative at node i from slopes [i-1, i]
+            d = _pchip_slopes(np.concatenate([slopes[-1:], slopes], axis=0))
+            return block, d
+        G = _PCHIP_GHOSTS
+        if self.bc == "copy-out":
             lo = np.repeat(block[:1], G, axis=0)
             hi = np.repeat(block[-1:], G, axis=0)
         else:
             lo = hi = np.zeros((G,) + block.shape[1:])
         ye = np.concatenate([lo, block, hi], axis=0)
         slopes = ye[1:] - ye[:-1]
-        d = np.concatenate(
-            [slopes[:1], _pchip_slopes(slopes), slopes[-1:]], axis=0
-        )
-        p = np.clip(base - cells[None, :], -(G - 2), n + G - 3)
-        kf = np.floor(p).astype(int)
-        u = (p - kf)[..., None]
-        e = kf + G
-        y_l, y_r = ye[e, col], ye[e + 1, col]
-        d_l, d_r = d[e, col], d[e + 1, col]
-    u2, u3 = u * u, u * u * u
-    return (
-        y_l * (2.0 * u3 - 3.0 * u2 + 1.0)
-        + d_l * (u3 - 2.0 * u2 + u)
-        + y_r * (-2.0 * u3 + 3.0 * u2)
-        + d_r * (u3 - u2)
-    )
+        d = np.concatenate([slopes[:1], _pchip_slopes(slopes), slopes[-1:]],
+                           axis=0)
+        return ye, d
+
+    def __call__(self, block):
+        r = block.shape[2]
+        y, d = (a.reshape(-1, r) for a in self._nodes(block))
+        rl, rr = self.rows
+        h00, h10, h01, h11 = self.basis
+        return (np.take(y, rl, axis=0) * h00 + np.take(d, rl, axis=0) * h10
+                + np.take(y, rr, axis=0) * h01 + np.take(d, rr, axis=0) * h11)
 
 
-def _advect(f, grid, dt, bc, interp="linear"):
+def _transport_plan(grid, dt, bc, interp):
+    """One shift per x-axis: x_a moves by dt * v_a, in cell units per v_a."""
+    shift = _LinearShift if interp == "linear" else _PchipShift
+    return [shift(dt * grid.v_axis[a] / grid.dx, grid.n_x, bc)
+            for a in range(grid.d)]
+
+
+def _advect(f, plan):
     """Shift each x-axis by dt * (matching v coordinate)."""
-    d = grid.domain.d
-    shifter = _shift_linear if interp == "linear" else _shift_pchip
+    d = len(plan)
     out = f
-    for a in range(d):
+    for a, shift in enumerate(plan):
         # move x_a to axis 0 and v_a to axis 1, flatten the rest
         work = np.moveaxis(out, (a, d + a), (0, 1))
-        rest = work.shape[2:]
-        nx, nv = work.shape[0], work.shape[1]
-        block = work.reshape(nx, nv, -1)
-        cells = dt * grid.v_axis[a] / grid.dx  # shift in cell units, per v
-        shifted = shifter(block, cells, bc)
-        out = np.moveaxis(shifted.reshape(nx, nv, *rest), (0, 1), (a, d + a))
+        shifted = shift(work.reshape(work.shape[0], work.shape[1], -1))
+        out = np.moveaxis(shifted.reshape(work.shape), (0, 1), (a, d + a))
     return out
-
-
-def _thomas(lower, diag, upper, rhs):
-    """Batched tridiagonal solve; arrays shaped (..., n), solved along -1."""
-    n = rhs.shape[-1]
-    cp = np.empty_like(rhs)
-    dp = np.empty_like(rhs)
-    cp[..., 0] = upper[..., 0] / diag[..., 0]
-    dp[..., 0] = rhs[..., 0] / diag[..., 0]
-    for i in range(1, n):
-        denom = diag[..., i] - lower[..., i] * cp[..., i - 1]
-        cp[..., i] = upper[..., i] / denom
-        dp[..., i] = (rhs[..., i] - lower[..., i] * dp[..., i - 1]) / denom
-    x = np.empty_like(rhs)
-    x[..., -1] = dp[..., -1]
-    for i in range(n - 2, -1, -1):
-        x[..., i] = dp[..., i] - cp[..., i] * x[..., i + 1]
-    return x
 
 
 def _harmonic(a, b):
@@ -237,27 +261,62 @@ def _harmonic(a, b):
     return out
 
 
-def _diffuse_axis(f, a_diag, dt, dv, bc):
-    """Implicit (I - dt * d/dv (a d/dv .)) solve along the last axis.
-
-    ``f`` and ``a_diag`` are shaped (..., n_v).
-    """
-    n = f.shape[-1]
-    face = _harmonic(a_diag[..., :-1], a_diag[..., 1:])  # interior faces
-    r = dt / dv**2
-    lower = np.zeros_like(f)
-    upper = np.zeros_like(f)
-    diag = np.ones_like(f)
-    lower[..., 1:] = -r * face
-    upper[..., :-1] = -r * face
-    diag[..., 1:] += r * face
-    diag[..., :-1] += r * face
+def _diffusion_bands(a, r, bc):
+    """Bands (lower, diag, upper) of I - dt d/dv (a d/dv .) along axis 0,
+    with r = dt / dv^2; face coefficients are harmonic means of adjacent
+    cell values."""
+    face = _harmonic(a[:-1], a[1:])  # interior faces
+    lower = np.zeros_like(a)
+    upper = np.zeros_like(a)
+    diag = np.ones_like(a)
+    lower[1:] = -r * face
+    upper[:-1] = -r * face
+    diag[1:] += r * face
+    diag[:-1] += r * face
     if bc == "dirichlet":
         # a zero ghost cell one dv beyond each edge
-        diag[..., 0] += r * a_diag[..., 0]
-        diag[..., -1] += r * a_diag[..., -1]
+        diag[0] += r * a[0]
+        diag[-1] += r * a[-1]
     # zero-flux: boundary face flux vanishes, nothing to add
-    return _thomas(lower, diag, upper, f)
+    return lower, diag, upper
+
+
+def _tridiag_factor(lower, diag, upper):
+    """Thomas elimination of a batched tridiagonal matrix whose rows run
+    along axis 0: returns (lower, cp, denom), the pivots denom and the
+    scaled upper band cp, for any number of ``_tridiag_apply`` calls."""
+    cp = np.empty_like(diag)
+    denom = np.empty_like(diag)
+    denom[0] = diag[0]
+    cp[0] = upper[0] / diag[0]
+    for i in range(1, len(diag)):
+        denom[i] = diag[i] - lower[i] * cp[i - 1]
+        cp[i] = upper[i] / denom[i]
+    return lower, cp, denom
+
+
+def _tridiag_apply(factor, x):
+    """Forward and back substitution in place: x (rows along axis 0, each
+    row contiguous) holds the right-hand side on entry, the solution on
+    return."""
+    lower, cp, denom = factor
+    rows = list(x)
+    tmp = np.empty_like(rows[0])
+    np.divide(rows[0], denom[0], out=rows[0])
+    for low, den, prev, row in zip(lower[1:], denom[1:], rows, rows[1:]):
+        np.multiply(low, prev, out=tmp)
+        np.subtract(row, tmp, out=tmp)
+        np.divide(tmp, den, out=row)
+    for c, row, nxt in zip(cp[-2::-1], rows[-2::-1], rows[::-1]):
+        np.multiply(c, nxt, out=tmp)
+        np.subtract(row, tmp, out=row)
+    return x
+
+
+def _lines(a, axis):
+    """A C-ordered copy of ``a`` with ``axis`` moved first, so that every
+    row of the solve along it is contiguous."""
+    return np.moveaxis(a, axis, 0).copy()
 
 
 def _upwind_drift(f, B, dt, dv, bc):
@@ -312,20 +371,29 @@ def solve(config: SolverConfig) -> ScalarField:
     has_drift = bool(np.any(B != 0.0))
     has_source = S is not None and bool(np.any(S != 0.0))
 
+    plan = _transport_plan(g, dt, config.bc_x, config.transport_interp)
+    r = dt / dv**2
+    # per v-axis: the coefficient slice last factored, and its factor
+    slices, factors = [None] * d, [None] * d
+
     traj = np.empty(g.shape)
     f = config.initial.copy()
     for n in range(g.n_t):
-        f = _advect(f, g, dt, config.bc_x, config.transport_interp)
+        f = _advect(f, plan)
         if has_drift:
             f = _upwind_drift(f, B[n], dt, dv, config.bc_v)
         if d > 1:
             f = _cross_diffusion(f, A[n], d, dt, dv)
         for j in range(d):
             axis = f.ndim - d + j
-            w = np.moveaxis(f, axis, -1)
-            a_jj = np.moveaxis(A[n][..., j, j], axis, -1)
-            w = _diffuse_axis(w, a_jj, dt, dv, config.bc_v)
-            f = np.moveaxis(w, -1, axis)
+            a_jj = A[n][..., j, j]
+            # A >= lam > 0 (validated), so equal slices give equal factors
+            if slices[j] is None or not np.array_equal(a_jj, slices[j]):
+                slices[j] = a_jj
+                factors[j] = _tridiag_factor(
+                    *_diffusion_bands(_lines(a_jj, axis), r, config.bc_v))
+            f = np.moveaxis(_tridiag_apply(factors[j], _lines(f, axis)),
+                            0, axis)
         if has_source:
             f = f + dt * S[n]
         if not np.all(np.isfinite(f)):

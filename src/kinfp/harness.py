@@ -206,8 +206,10 @@ class ExperimentEnsemble:
     """Reproducible family of nonnegative super-solution evaluators.
 
     kind 'kernel-mixture' yields analytic members; 'solver-rough' runs the
-    rough-coefficient solver from positive initial data with S >= 0 and
-    returns the trajectory field together with its coefficients.
+    rough-coefficient solver from positive initial data with S >= 0.  A
+    member is a pair (f, meta): f is the mixture's evaluator or the solver's
+    trajectory field, and meta the dict that describes it.  The solver's
+    coefficients are not returned.
     """
 
     kind: str = "kernel-mixture"

@@ -276,6 +276,36 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             CoefficientField(g, A, B, S, lam=1.0, Lam=2.0)
 
+    @pytest.mark.parametrize("d,bad", [(1, "nan"), (2, "nan"),
+                                       (2, "asymmetric"), (1, "drift")])
+    def test_validation_rejects(self, d, bad):
+        g = unit_grid(n=(4, 4, 4), d=d)
+        A = np.broadcast_to(np.eye(d), g.shape + (d, d)).copy()
+        B = np.zeros(g.shape + (d,))
+        if bad == "nan":
+            A[1, 2, ..., 0, 0] = np.nan
+        elif bad == "asymmetric":
+            A[..., 0, 1] = 0.1
+        else:
+            B[0, 1, 2, 0] = -2.5
+        with pytest.raises(ValueError):
+            CoefficientField(g, A, B, np.zeros(g.shape), lam=0.5, Lam=2.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_checkerboard_from_axis_lines(self, d):
+        g = unit_grid(n=(5, 6, 7), d=d, box=BoxCylinder(
+            -1.0, 0.0, np.full(d, 0.3), 1.0, np.full(d, -0.2), 1.0))
+        c = make_coefficients(g, "checkerboard", 1.0, 2.0, cell_size=0.3)
+        # the full-grid coordinates are neither needed nor cached
+        assert "coords" not in g.__dict__
+        T, X, V = g.coords
+        cells = np.floor(T / 0.3).astype(np.int64)
+        for i in range(d):
+            cells = (cells + np.floor(X[..., i] / 0.3).astype(np.int64)
+                     + np.floor(V[..., i] / 0.3).astype(np.int64))
+        expected = np.where(cells % 2 == 1, 2.0, 1.0)
+        assert np.array_equal(c.A[..., 0, 0], expected)
+
     def test_rejects_lambda_order(self):
         g = unit_grid(n=(4, 4, 4))
         with pytest.raises(ValueError):

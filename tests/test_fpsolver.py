@@ -1,8 +1,11 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from kinfp import fpsolver
 from kinfp.fields import BoxCylinder, CoefficientField, Grid, ScalarField, make_coefficients
 from kinfp.fpsolver import (
     Bump,
@@ -72,6 +75,99 @@ class TestBasics:
         init[0, 0] = np.inf
         with pytest.raises(NumericalAbort):
             solve(SolverConfig(g, c, init))
+
+
+def thomas_reference(lower, diag, upper, rhs):
+    """Plain Thomas solve of one tridiagonal system in Python floats: the
+    reference the batched factor and apply must equal bit for bit."""
+    n = len(rhs)
+    cp, dp = [0.0] * n, [0.0] * n
+    cp[0] = upper[0] / diag[0]
+    dp[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        denom = diag[i] - lower[i] * cp[i - 1]
+        cp[i] = upper[i] / denom
+        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
+    x = [0.0] * n
+    x[-1] = dp[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = dp[i] - cp[i] * x[i + 1]
+    return x
+
+
+class TestTridiagonal:
+    @pytest.mark.parametrize("n,batch", [(2, (5,)), (17, (4, 3)), (48, (9,))])
+    def test_factor_apply_match_reference_bitwise(self, n, batch):
+        rng = np.random.default_rng(n)
+        lower = rng.uniform(-1.0, 1.0, (n,) + batch)
+        upper = rng.uniform(-1.0, 1.0, (n,) + batch)
+        lower[0] = upper[-1] = 0.0
+        diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, lower.shape)
+        factor = fpsolver._tridiag_factor(lower, diag, upper)
+        # one factor, two right-hand sides
+        for rhs in rng.uniform(-1.0, 1.0, (2, n) + batch):
+            x = fpsolver._tridiag_apply(factor, rhs.copy())
+            for line in np.ndindex(*batch):
+                col = (slice(None),) + line
+                ref = thomas_reference(*(a[col].tolist() for a in
+                                         (lower, diag, upper, rhs)))
+                assert x[col].tobytes() == np.array(ref).tobytes()
+
+    def test_one_factor_per_coefficient_slice(self, monkeypatch):
+        calls = []
+        factor = fpsolver._tridiag_factor
+
+        def counting_factor(*bands):
+            calls.append(1)
+            return factor(*bands)
+
+        monkeypatch.setattr(fpsolver, "_tridiag_factor", counting_factor)
+        box = BoxCylinder(-1.0, 0.0, np.zeros(1), 6.0, np.zeros(1), 5.0)
+        g = Grid(box, 32, 32, 16)
+        init = np.ones((g.n_x, g.n_v))
+        for kind, expected in (("constant", 1), ("checkerboard", 5)):
+            calls.clear()
+            # cell_size 0.3: time cells -4..0 over t in (-1, 0]
+            c = make_coefficients(g, kind, 1.0, 4.0, cell_size=0.3)
+            solve(SolverConfig(g, c, init, bc_x="copy-out", bc_v="zero-flux"))
+            assert len(calls) == expected, kind
+
+
+GOLDEN_GRIDS = {
+    1: Grid(BoxCylinder(0.5, 1.0, np.zeros(1), 6.0, np.zeros(1), 5.0), 16, 32, 16),
+    2: Grid(BoxCylinder(0.5, 1.0, np.zeros(2), 6.0, np.zeros(2), 5.0), 6, 10, 8),
+}
+
+# sha256 prefixes of the trajectories over every (bc_x, bc_v) pair,
+# recorded with the solver that rebuilt the diffusion bands and the
+# transport indices at every step.  Uniform initial data and arithmetic-only
+# coefficients keep them independent of the platform's libm.
+GOLDEN = {
+    (1, "constant", "linear"): "311a0418b2781980",
+    (1, "constant", "pchip"): "eb2a0b08d156b92d",
+    (1, "checkerboard", "linear"): "1191facdac369033",
+    (1, "checkerboard", "pchip"): "54fde9b621e8a02e",
+    (2, "constant", "linear"): "3e3060de9c6be0df",
+    (2, "constant", "pchip"): "073b5c3a3f025a1a",
+    (2, "checkerboard", "linear"): "a944503ed1a7c5fa",
+    (2, "checkerboard", "pchip"): "b18ed384f051ee28",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN),
+                         ids=lambda case: "d{}-{}-{}".format(*case))
+def test_golden_trajectories(case):
+    d, kind, interp = case
+    g = GOLDEN_GRIDS[d]
+    c = make_coefficients(g, kind, 1.0, 4.0, cell_size=0.25)
+    h = hashlib.sha256()
+    for bc_x, bc_v in itertools.product(("dirichlet", "copy-out", "periodic"),
+                                        ("dirichlet", "zero-flux")):
+        init = np.random.default_rng(7).uniform(-0.5, 1.0, g.shape[1:])
+        f = solve(SolverConfig(g, c, init, bc_x=bc_x, bc_v=bc_v,
+                               transport_interp=interp))
+        h.update(f.values.tobytes())
+    assert h.hexdigest()[:16] == GOLDEN[case]
 
 
 class TestKernelTracking:
