@@ -16,7 +16,7 @@ remaining variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -146,9 +146,16 @@ class Grid:
         return region.contains(*self.open_coords)
 
     def sample(self, fn) -> "ScalarField":
-        """Sample a callable fn(t, x, v) -> values at all nodes."""
-        T, X, V = self.coords
-        return ScalarField(self, np.asarray(fn(T, X, V), dtype=float))
+        """Sample a callable fn(T, X, V) -> values at all nodes.
+
+        fn gets the open coordinates (``open_coords``), so terms in t, x or
+        v alone are computed on lines and planes; it may return any shape
+        that broadcasts to ``shape``.  Such a result is spread out into a
+        C-contiguous, writable array of ``shape``."""
+        values = np.asarray(fn(*self.open_coords), dtype=float)
+        if values.shape != self.shape:
+            values = np.broadcast_to(values, self.shape).copy()
+        return ScalarField(self, values)
 
 
 @dataclass(frozen=True)
@@ -378,7 +385,10 @@ def h_minus1_norm(H: ScalarField | NegSobolevInput, region: Region | None = None
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Measurable coefficients A(z), B(z), S(z) with ellipticity bounds."""
+    """Measurable coefficients A(z), B(z), S(z) with ellipticity bounds.
+
+    Validated once, at construction; ``b_max``, the largest |B| over the
+    nodes, is kept from that scan for the solver's drift checks."""
 
     grid: Grid
     A: np.ndarray  # shape grid.shape + (d, d)
@@ -386,6 +396,7 @@ class CoefficientField:
     S: np.ndarray  # shape grid.shape
     lam: float
     Lam: float
+    b_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.grid.d
@@ -401,9 +412,9 @@ class CoefficientField:
 
     def validate(self, slack: float = 1e-12) -> None:
         """Raise ValueError unless A is symmetric with spectrum in
-        [lam, Lam] and |B| <= Lam at every node (NaN fails every test).
-        At d = 1 A is 1x1, so it is symmetric by shape and its entry is
-        its eigenvalue."""
+        [lam, Lam] and |B| <= Lam at every node (NaN fails every test);
+        set ``b_max`` to the largest |B|.  At d = 1 A is 1x1, so it is
+        symmetric by shape and its entry is its eigenvalue."""
         if self.grid.d == 1:
             eig = self.A[..., 0, 0]
             bnorm = np.abs(self.B[..., 0])
@@ -419,8 +430,10 @@ class CoefficientField:
                 f"eigenvalues of A in [{lo:.3e}, {hi:.3e}] "
                 f"escape [{self.lam}, {self.Lam}]"
             )
-        if not bnorm.max() <= self.Lam + slack:
+        b_max = float(bnorm.max())
+        if not b_max <= self.Lam + slack:
             raise ValueError("|B| exceeds the upper ellipticity bound")
+        object.__setattr__(self, "b_max", b_max)
 
 
 def _cell_index(coord: np.ndarray, cell_size: float) -> np.ndarray:

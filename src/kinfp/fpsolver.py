@@ -77,7 +77,8 @@ class SolverConfig:
     """Everything one time integration needs.
 
     ``initial`` is the slice at the opening time of the grid's window (the
-    grid itself stores only the n_t later slices).
+    grid itself stores only the n_t later slices).  The coefficients were
+    validated when they were built; their ``b_max`` gives the drift limit.
     """
 
     grid: Grid
@@ -100,7 +101,6 @@ class SolverConfig:
             raise ValueError(f"bc_v must be one of {_BC_V}")
         if self.transport_interp not in ("linear", "pchip"):
             raise ValueError("transport_interp must be 'linear' or 'pchip'")
-        self.coeffs.validate()
         self._check_cfl()
 
     def _check_cfl(self):
@@ -109,7 +109,7 @@ class SolverConfig:
         limits = {}
         if vmax > 0.0:
             limits["transport"] = g.dx / vmax
-        bmax = float(np.max(np.abs(self.coeffs.B)))
+        bmax = self.coeffs.b_max
         if bmax > 0.0:
             limits["drift"] = g.dv / bmax
         for name, lim in limits.items():
@@ -368,7 +368,7 @@ def solve(config: SolverConfig) -> ScalarField:
     d = g.domain.d
     dt, dv = g.dt, g.dv
     A, B, S = config.coeffs.A, config.coeffs.B, config.coeffs.S
-    has_drift = bool(np.any(B != 0.0))
+    has_drift = config.coeffs.b_max > 0.0  # B has no NaN (validated)
     has_source = S is not None and bool(np.any(S != 0.0))
 
     plan = _transport_plan(g, dt, config.bc_x, config.transport_interp)
@@ -415,7 +415,11 @@ class Bump:
     """C^2 compactly supported test function, separable in t, x, v.
 
     Each factor is b(u) = (1 - u^2)^3 on |u| < 1 (zero outside), centered
-    and scaled per coordinate.  Derivatives are analytic.
+    and scaled per coordinate.  Derivatives are analytic.  The methods take
+    coordinates (T, X, V) of any shapes that broadcast against each other,
+    such as ``Grid.open_coords``, and return the broadcast shape (with a
+    trailing axis of length d for the gradients); the t, x and v factors
+    are each computed on their own coordinates before they meet.
     """
 
     def __init__(self, t_center, t_width, x_center, x_width, v_center, v_width):
@@ -458,7 +462,8 @@ class Bump:
 
     def _grad(self, u_all, width, others):
         d = u_all.shape[-1]
-        out = np.empty(u_all.shape)
+        out = np.empty(np.broadcast_shapes(u_all.shape[:-1], np.shape(others))
+                       + (d,))
         for k in range(d):
             rest = np.prod(
                 np.delete(self._b(u_all), k, axis=-1), axis=-1
@@ -523,7 +528,7 @@ def weak_residual(
     if mode not in ("solution", "super", "sub"):
         raise ValueError("mode must be solution|super|sub")
     g = f.grid
-    T, X, V = g.coords
+    T, X, V = g.open_coords
     dvol = g.cell_volume
     grad_f = grad_v(f)
     if tol is None:
@@ -563,7 +568,7 @@ def weak_residual(
 def transport_pairing(f: ScalarField, phi: Bump) -> float:
     """-sum of f (d_t + v.grad_x) phi over f's nodes: the weak transport
     derivative of f tested against phi, per unit cell volume."""
-    T, X, V = f.grid.coords
+    T, X, V = f.grid.open_coords
     return -np.sum(f.values * (
         phi.dt(T, X, V) + np.einsum("...k,...k->...", V, phi.grad_x(T, X, V))))
 

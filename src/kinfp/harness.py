@@ -83,12 +83,27 @@ class HypothesisError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _broadcast_coords(T, X, V):
+    """(T, X, V) as views of one batch shape: T of shape (...), X and V of
+    shape (..., d); open coordinates become full-grid views."""
+    T = np.asarray(T, dtype=float)
+    X = np.asarray(X, dtype=float)
+    V = np.asarray(V, dtype=float)
+    shape = np.broadcast_shapes(T.shape, X.shape[:-1], V.shape[:-1])
+    return (np.broadcast_to(T, shape),
+            np.broadcast_to(X, shape + X.shape[-1:]),
+            np.broadcast_to(V, shape + V.shape[-1:]))
+
+
 def as_evaluator(f):
     """Turn a field into a callable (T, X, V) -> values.
 
     Callables pass through; ScalarFields become linear interpolants of
     their grid values (clamped to the grid hull, so evaluation slightly
-    outside the node hull reuses the nearest values).
+    outside the node hull reuses the nearest values).  An evaluator takes
+    coordinates of any shapes that broadcast against each other (full or
+    open, as ``Grid.sample`` passes them) and returns values of a shape
+    that broadcasts to their common batch shape.
     """
     if callable(f):
         return f
@@ -102,9 +117,7 @@ def as_evaluator(f):
         highs = [a[-1] for a in axes]
 
         def evaluate(T, X, V):
-            T = np.asarray(T, dtype=float)
-            X = np.asarray(X, dtype=float)
-            V = np.asarray(V, dtype=float)
+            T, X, V = _broadcast_coords(T, X, V)
             pts = np.concatenate(
                 [T[..., None], X, V], axis=-1
             ).reshape(-1, 1 + 2 * g.d)
@@ -286,7 +299,7 @@ def _check_transport_control(f: ScalarField, H: NegSobolevInput):
     first-order tolerance."""
     g = f.grid
     tol = first_order_tol(f)
-    T, X, V = g.coords
+    T, X, V = g.open_coords
     dvol = g.cell_volume
     box = g.domain
     d = g.d
@@ -530,8 +543,11 @@ def _source_reduced(f, source_sup: float, frame: PhasePoint | None = None):
     ev = as_evaluator(f)
 
     def reduced(T, X, V):
-        moved = (ev(T, X, V) if frame is None
-                 else ev(*group_product(frame, PhasePoint(T, X, V))))
+        if frame is None:
+            moved = ev(T, X, V)
+        else:
+            T, X, V = _broadcast_coords(T, X, V)
+            moved = ev(*group_product(frame, PhasePoint(T, X, V)))
         return moved + source_sup * np.asarray(T, dtype=float)
 
     return reduced

@@ -397,13 +397,19 @@ def build_cutoff(eta: float, T: float, R: float) -> CutoffFunction:
 # ---------------------------------------------------------------------------
 
 
+_POLE_BLOCK = 1 << 15  # (pole, sample) pairs per log_kernel_eval call
+
+
 def _log_kernel_min(eta: float, T: float, d: int, n: int = 5) -> float:
     """Min over Q_1 x (Q_zero with t0 <= -1 - T) of the log kernel.
 
     Both regions are sampled on small tensor grids including their corners.
     The true minimum is astronomically small for moderate eta (the
     quadratic form scales like 1 / s^3 near the minimal elapsed time), so
-    only the log is meaningful in double precision.
+    only the log is meaningful in double precision.  The poles are
+    evaluated in blocks of at most ``_POLE_BLOCK`` (pole, sample) pairs
+    (one pole at least): d = 2 has 5^5 poles by 5^5 samples, and one
+    10^7-point block would be large and slower than cache-sized ones.
     """
     lin = np.linspace(-1.0, 1.0, n)
     t1 = np.linspace(-1.0 + 1e-9, 0.0, n)
@@ -418,11 +424,13 @@ def _log_kernel_min(eta: float, T: float, d: int, n: int = 5) -> float:
     axes1 = [t1] + [x1] * d + [x1] * d
     grids1 = np.meshgrid(*axes1, indexing="ij")
     pts1 = np.stack([g.ravel() for g in grids1], axis=-1)
+    ts, xs, vs = pts1[:, 0], pts1[:, 1 : 1 + d], pts1[:, 1 + d :]
+    step = max(1, _POLE_BLOCK // len(pts1))
     # every pole time is <= -1 - T < -1 + 1e-9 <= every sample time
-    for row in pts0:
-        z0 = PhasePoint(row[0], row[1 : 1 + d], row[1 + d :])
-        logs = log_kernel_eval(pts1[:, 0], pts1[:, 1 : 1 + d], pts1[:, 1 + d :], z0)
-        best = min(best, float(np.min(logs)))
+    for lo in range(0, len(pts0), step):
+        rows = pts0[lo : lo + step, None]  # (poles, 1, 1 + 2d)
+        z0 = PhasePoint(rows[..., 0], rows[..., 1 : 1 + d], rows[..., 1 + d :])
+        best = min(best, float(np.min(log_kernel_eval(ts, xs, vs, z0))))
     return best
 
 

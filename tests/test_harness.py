@@ -9,7 +9,8 @@ from kinfp.fields import (
     VectorField,
     make_coefficients,
 )
-from kinfp.fpsolver import SolverConfig, default_test_set, solve, weak_residual
+from kinfp import harness
+from kinfp.fpsolver import Bump, SolverConfig, default_test_set, solve, weak_residual
 from kinfp.geometry import Cylinder, PhasePoint, pop_parameters, q_bar, q_one, q_pos
 from kinfp.harness import (
     ExperimentEnsemble,
@@ -228,3 +229,94 @@ class TestHarnackAndHolder:
         res = estimate_holder(constant(4.0))
         assert res["constant"]
         assert res["osc"] == [0.0] * 5
+
+
+class TestOpenCoordinates:
+    """Evaluators give the same bits on ``Grid.open_coords`` as on the
+    full-grid ``Grid.coords``, and the sampling paths never fill the
+    latter."""
+
+    @staticmethod
+    def grid(d):
+        box = BoxCylinder(-1.0, 0.0, np.full(d, 0.1), 1.3, np.full(d, -0.2),
+                          1.7)
+        return Grid(box, *((5, 6, 7) if d == 1 else (4, 5, 6)))
+
+    @staticmethod
+    def assert_same_bits(fn, g):
+        # the open result is spread out the way Grid.sample spreads it
+        got = fn(*g.open_coords)
+        want = fn(*g.coords)
+        assert np.array_equal(np.broadcast_to(got, want.shape), want)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_kernel_mixture(self, d):
+        f, _ = make_kernel_mixture(3, d=d)
+        self.assert_same_bits(f, self.grid(d))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("method", ["value", "dt", "grad_x", "grad_v"])
+    def test_bump(self, d, method):
+        phi = Bump(-0.4, 0.5, np.full(d, 0.2), 0.9, np.full(d, -0.1), 1.2)
+        self.assert_same_bits(getattr(phi, method), self.grid(d))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_interpolant(self, d):
+        f, _ = make_kernel_mixture(4, d=d)
+        src = BoxCylinder(-1.2, 0.1, np.zeros(d), 2.0, np.zeros(d), 2.0)
+        fld = sample_on_box(f, src, (6, 7, 8) if d == 1 else (4, 5, 6))
+        self.assert_same_bits(as_evaluator(fld), self.grid(d))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("framed", [False, True])
+    def test_source_reduced(self, d, framed):
+        f, _ = make_kernel_mixture(5, d=d)
+        frame = (PhasePoint(0.02, np.full(d, 0.01), np.full(d, 0.1))
+                 if framed else None)
+        self.assert_same_bits(harness._source_reduced(f, 0.3, frame),
+                              self.grid(d))
+
+    @pytest.mark.parametrize("fn", [constant(2.0), lambda T, X, V: T])
+    def test_sample_spreads_lower_rank_results(self, fn):
+        g = self.grid(1)
+        vals = g.sample(fn).values
+        assert vals.shape == g.shape
+        assert vals.flags.c_contiguous and vals.flags.writeable
+        assert np.array_equal(vals, np.broadcast_to(fn(*g.coords), g.shape))
+
+    def test_sample_on_box_keeps_no_full_coords(self):
+        f, _ = make_kernel_mixture(3)
+        fld = sample_on_box(f, q_one(1), (8, 8, 8))
+        assert "coords" not in fld.grid.__dict__
+
+    def test_local_norms_over_cylinder_keeps_no_full_coords(self, monkeypatch):
+        grids = []
+        build = harness._cylinder_grid
+
+        def recording(Q, n):
+            grids.append(build(Q, n))
+            return grids[-1]
+
+        monkeypatch.setattr(harness, "_cylinder_grid", recording)
+        f, _ = make_kernel_mixture(3)
+        Q = Cylinder(PhasePoint(-0.2, np.array([0.05]), np.array([0.3])), 0.5)
+        local_norms(f, Q, (8, 10, 12))
+        assert len(grids) == 1 and "coords" not in grids[0].__dict__
+
+    def test_weak_residual_keeps_no_full_coords(self):
+        box = BoxCylinder(0.5, 1.0, np.zeros(1), 6.0, np.zeros(1), 5.0)
+        g = Grid(box, 8, 16, 8)
+        c = make_coefficients(g, "constant", 1.0, 1.0)
+        f = solve(SolverConfig(g, c, np.ones((g.n_x, g.n_v))))
+        weak_residual(f, c, "super", default_test_set(g, 2, 0))
+        assert "coords" not in g.__dict__
+
+    def test_weak_poincare_keeps_no_full_coords(self):
+        eta = pop_parameters(0.5).eta
+        g = Grid(BoxCylinder(-1.0 - eta**2, 0.0, np.zeros(1), 8.0,
+                             np.zeros(1), 2.0), 64, 128, 24)
+        f = g.sample(lambda T, X, V: np.clip(V[..., 0] - 0.25, 0.0, None))
+        H = NegSobolevInput(ScalarField(g, np.zeros(g.shape)),
+                            VectorField(g, np.zeros(g.shape + (1,))))
+        verify_weak_poincare(f, H, eta, check_transport=True)
+        assert "coords" not in g.__dict__

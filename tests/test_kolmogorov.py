@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kinfp import kolmogorov
 from kinfp.fields import BoxCylinder, Grid, ScalarField
 from kinfp.geometry import PhasePoint, group_product, origin, pop_parameters
 from kinfp.kolmogorov import (
@@ -206,6 +207,34 @@ class TestThetaParameters:
     def test_relation(self):
         p = theta0_parameters(0.5)
         assert p["theta0"] == 1.0 - p["delta0"] / 2.0
+
+    @staticmethod
+    def _log_kernel_min_per_pole(eta, T, d, n=5):
+        """One log_kernel_eval call per pole, the minimum kept in Python."""
+        lin = np.linspace(-1.0, 1.0, n)
+        axes0 = ([np.linspace(-1.0 - eta**2, -1.0 - T, n)]
+                 + [lin * eta**3] * d + [lin * eta] * d)
+        axes1 = [np.linspace(-1.0 + 1e-9, 0.0, n)] + [lin] * (2 * d)
+        pts0, pts1 = (np.stack([g.ravel() for g in np.meshgrid(
+            *axes, indexing="ij")], axis=-1) for axes in (axes0, axes1))
+        best = np.inf
+        for row in pts0:
+            z0 = PhasePoint(row[0], row[1:1 + d], row[1 + d:])
+            logs = log_kernel_eval(pts1[:, 0], pts1[:, 1:1 + d],
+                                   pts1[:, 1 + d:], z0)
+            best = min(best, float(np.min(logs)))
+        return best
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0])
+    def test_pole_blocks_match_per_pole_loop(self, monkeypatch, eta, d):
+        T = eta**2 / 8.0
+        expected = self._log_kernel_min_per_pole(eta, T, d)
+        got = theta0_parameters(eta, d)
+        assert got["log_kernel_min"] == expected
+        monkeypatch.setattr(kolmogorov, "_log_kernel_min",
+                            lambda *args: expected)
+        assert theta0_parameters(eta, d) == got
 
 
 def localization_grid(eta):
