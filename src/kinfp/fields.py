@@ -34,6 +34,7 @@ __all__ = [
     "level_set_measure",
     "norms",
     "RegionNorms",
+    "broadcast_coords",
     "grad_v",
     "grad_v_sq",
     "h_minus1_norm",
@@ -41,6 +42,18 @@ __all__ = [
 ]
 
 Region = BoxCylinder | Cylinder | StackedCylinder
+
+
+def broadcast_coords(T, X, V):
+    """(T, X, V) as views of one batch shape: T of shape (...), X and V of
+    shape (..., d); open coordinates become full-grid views."""
+    T = np.asarray(T, dtype=float)
+    X = np.asarray(X, dtype=float)
+    V = np.asarray(V, dtype=float)
+    shape = np.broadcast_shapes(T.shape, X.shape[:-1], V.shape[:-1])
+    return (np.broadcast_to(T, shape),
+            np.broadcast_to(X, shape + X.shape[-1:]),
+            np.broadcast_to(V, shape + V.shape[-1:]))
 
 
 @dataclass(frozen=True)
@@ -128,10 +141,16 @@ class Grid:
 
     @cached_property
     def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcastable node coordinates (T, X, V) with X, V of shape (..., d).
+        """Full-grid node coordinates (T, X, V) with X, V of shape (..., d).
 
-        X and V keep the memory layout ``np.stack`` gives the broadcast axis
-        lines: sums over products with them depend on it in the last bit."""
+        Library code evaluates on ``open_coords``; these arrays are the
+        reference the tests compare it with.  X and V keep the memory layout
+        ``np.stack`` gives the broadcast axis lines (not C order: X has
+        strides (1280, 2560, 8, 8) on a 2x160x160 grid at d = 1), and sums
+        over products with them depend on it in the last bit.  That is why
+        the CLI's ``kernel-check`` moment sums still read them: on open
+        coordinates its ``var_v`` at s = 0.1 moves from 0.2 to
+        0.19999999999999998."""
         shape = self.shape
         X, V = (np.stack([np.broadcast_to(a, shape) for a in lines], axis=-1)
                 for lines in (self._axis_lines(self.x_axis, 1),
@@ -387,8 +406,9 @@ def h_minus1_norm(H: ScalarField | NegSobolevInput, region: Region | None = None
 class CoefficientField:
     """Measurable coefficients A(z), B(z), S(z) with ellipticity bounds.
 
-    Validated once, at construction; ``b_max``, the largest |B| over the
-    nodes, is kept from that scan for the solver's drift checks."""
+    Validated once, at construction; ``b_l1_max``, the largest l1 norm
+    |B_1| + ... + |B_d| over the nodes, is kept from that scan for the
+    solver's drift checks."""
 
     grid: Grid
     A: np.ndarray  # shape grid.shape + (d, d)
@@ -396,7 +416,7 @@ class CoefficientField:
     S: np.ndarray  # shape grid.shape
     lam: float
     Lam: float
-    b_max: float = field(init=False, repr=False, compare=False)
+    b_l1_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.grid.d
@@ -413,8 +433,9 @@ class CoefficientField:
     def validate(self, slack: float = 1e-12) -> None:
         """Raise ValueError unless A is symmetric with spectrum in
         [lam, Lam] and |B| <= Lam at every node (NaN fails every test);
-        set ``b_max`` to the largest |B|.  At d = 1 A is 1x1, so it is
-        symmetric by shape and its entry is its eigenvalue."""
+        set ``b_l1_max`` to the largest l1 norm of B.  At d = 1 A is 1x1, so
+        it is symmetric by shape and its entry is its eigenvalue, and both
+        norms of B are |B|."""
         if self.grid.d == 1:
             eig = self.A[..., 0, 0]
             bnorm = np.abs(self.B[..., 0])
@@ -433,7 +454,9 @@ class CoefficientField:
         b_max = float(bnorm.max())
         if not b_max <= self.Lam + slack:
             raise ValueError("|B| exceeds the upper ellipticity bound")
-        object.__setattr__(self, "b_max", b_max)
+        b_l1_max = (b_max if self.grid.d == 1
+                    else float(np.abs(self.B).sum(axis=-1).max()))
+        object.__setattr__(self, "b_l1_max", b_l1_max)
 
 
 def _cell_index(coord: np.ndarray, cell_size: float) -> np.ndarray:

@@ -78,7 +78,9 @@ class SolverConfig:
 
     ``initial`` is the slice at the opening time of the grid's window (the
     grid itself stores only the n_t later slices).  The coefficients were
-    validated when they were built; their ``b_max`` gives the drift limit.
+    validated when they were built; their ``b_l1_max`` gives the drift
+    limit.  The upwind drift step adds every v-axis's update to the same
+    old values, so it is monotone while dt (|B_1| + ... + |B_d|) <= dv.
     """
 
     grid: Grid
@@ -109,9 +111,9 @@ class SolverConfig:
         limits = {}
         if vmax > 0.0:
             limits["transport"] = g.dx / vmax
-        bmax = self.coeffs.b_max
-        if bmax > 0.0:
-            limits["drift"] = g.dv / bmax
+        b_l1 = self.coeffs.b_l1_max
+        if b_l1 > 0.0:
+            limits["drift"] = g.dv / b_l1
         for name, lim in limits.items():
             if g.dt > _CFL_SAFETY * lim + 1e-15:
                 raise CFLError(
@@ -368,7 +370,7 @@ def solve(config: SolverConfig) -> ScalarField:
     d = g.domain.d
     dt, dv = g.dt, g.dv
     A, B, S = config.coeffs.A, config.coeffs.B, config.coeffs.S
-    has_drift = config.coeffs.b_max > 0.0  # B has no NaN (validated)
+    has_drift = config.coeffs.b_l1_max > 0.0  # B has no NaN (validated)
     has_source = S is not None and bool(np.any(S != 0.0))
 
     plan = _transport_plan(g, dt, config.bc_x, config.transport_interp)

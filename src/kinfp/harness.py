@@ -29,6 +29,7 @@ from .fields import (
     NegSobolevInput,
     RegionNorms,
     ScalarField,
+    broadcast_coords,
     grad_v_sq,
     h_minus1_norm,
     norms,
@@ -83,18 +84,6 @@ class HypothesisError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _broadcast_coords(T, X, V):
-    """(T, X, V) as views of one batch shape: T of shape (...), X and V of
-    shape (..., d); open coordinates become full-grid views."""
-    T = np.asarray(T, dtype=float)
-    X = np.asarray(X, dtype=float)
-    V = np.asarray(V, dtype=float)
-    shape = np.broadcast_shapes(T.shape, X.shape[:-1], V.shape[:-1])
-    return (np.broadcast_to(T, shape),
-            np.broadcast_to(X, shape + X.shape[-1:]),
-            np.broadcast_to(V, shape + V.shape[-1:]))
-
-
 def as_evaluator(f):
     """Turn a field into a callable (T, X, V) -> values.
 
@@ -117,7 +106,7 @@ def as_evaluator(f):
         highs = [a[-1] for a in axes]
 
         def evaluate(T, X, V):
-            T, X, V = _broadcast_coords(T, X, V)
+            T, X, V = broadcast_coords(T, X, V)
             pts = np.concatenate(
                 [T[..., None], X, V], axis=-1
             ).reshape(-1, 1 + 2 * g.d)
@@ -387,15 +376,12 @@ def verify_local_poincare(
         raise HypothesisError("local Poincare requires f >= 0")
     if check_transport:
         _check_transport_control(f, H)
-    T, X, V = g.coords
-    rhs_field = ScalarField(g, f.values * cutoff.lk_psi(T, X, V))
-    h = solve_cauchy(rhs_field, boundary_tol=1.0)
+    psi = cutoff.evaluate(*g.open_coords)
+    h = solve_cauchy(ScalarField(g, f.values * psi.lk), boundary_tol=1.0)
     gain = ScalarField(g, f.values - h.values)
     lhs = norms(gain, q_one(g.d)).excess().lp(2.0)
     rhs = _poincare_rhs(f, H)
-    grad_sup = float(
-        np.max(np.sqrt(np.sum(cutoff.grad_v_psi(T, X, V) ** 2, axis=-1)))
-    )
+    grad_sup = float(np.max(np.sqrt(np.sum(psi.grad_v**2, axis=-1))))
     return VerificationReport(
         inequality="local-poincare",
         lhs=lhs,
@@ -418,6 +404,7 @@ def verify_expansion_of_positivity(
     eps: float = 1e-2,
     eta0: float = 1e-2,
     source_sup: float = 0.0,
+    d: int = 1,
     n_local=(16, 24, 24),
 ) -> VerificationReport:
     """Measure-positivity in the past implies pointwise positivity now:
@@ -435,7 +422,6 @@ def verify_expansion_of_positivity(
         raise HypothesisError(
             f"source bound fails: sup|S| = {source_sup} > eta0 = {eta0}"
         )
-    d = f.grid.d if isinstance(f, ScalarField) else 1
     frac = local_norms(f, q_pos(theta, d), n_local).fraction(lambda v: v >= 1.0)
     if frac < 0.5:
         raise HypothesisError(
@@ -464,6 +450,7 @@ def verify_minima_measure(
     m: int,
     M: float,
     ell0_empirical: float | None = None,
+    d: int = 1,
     n_local=(16, 24, 24),
 ) -> VerificationReport:
     """Large values on half of Q_1 force f >= 1 on the stacked cylinder:
@@ -474,7 +461,6 @@ def verify_minima_measure(
     """
     if m < 3:
         raise HypothesisError("minima-measure requires m >= 3")
-    d = f.grid.d if isinstance(f, ScalarField) else 1
     theta = m ** (-0.5)
     frac = local_norms(f, q_one(d), n_local).fraction(lambda v: v >= M)
     if frac < 0.5:
@@ -546,7 +532,7 @@ def _source_reduced(f, source_sup: float, frame: PhasePoint | None = None):
         if frame is None:
             moved = ev(T, X, V)
         else:
-            T, X, V = _broadcast_coords(T, X, V)
+            T, X, V = broadcast_coords(T, X, V)
             moved = ev(*group_product(frame, PhasePoint(T, X, V)))
         return moved + source_sup * np.asarray(T, dtype=float)
 

@@ -20,11 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import BoxCylinder, Grid
+from .fields import BoxCylinder, Grid, broadcast_coords
 from .geometry import (
     Cylinder,
     PhasePoint,
-    StackedCylinder,
     cylinder_in_cylinder,
     origin,
 )
@@ -104,8 +103,10 @@ def _window_membership(grid: Grid, Q: Cylinder):
     """(window, Q.contains on the window's cell centers); no cell center
     outside the window lies in Q."""
     win = _index_window(grid, Q)
-    T, X, V = grid.coords
-    return win, Q.contains(T[win], X[win], V[win])
+    T, X, V = grid.open_coords
+    v0 = 1 + grid.d  # the first v axis
+    return win, Q.contains(T[win[:1]], X[(slice(None),) + win[1:v0]],
+                           V[(slice(None),) * v0 + win[v0:]])
 
 
 def _cell_counts(E: DiscreteSet, Q: Cylinder):
@@ -247,7 +248,8 @@ def find_dense_cylinders(
     supplied list (default: the dyadic ladder from 1 down to the cell
     scale).  Containment in Q_- is exact (closed form, one batched
     ``cylinder_in_cylinder`` over all centers); density is cell counting.
-    The d = 1 count is vectorized over centers by summing shifted masks;
+    The d = 1 count is vectorized over centers: per time offset, interval
+    endpoints and a summed-area table of the mask (``_dense_counts_1d``);
     higher dimensions count cells per admissible center.
     """
     if not 0.0 < mu < 1.0:
@@ -258,7 +260,7 @@ def find_dense_cylinders(
     if not E.mask.any():
         return []
     g = E.grid
-    centers = PhasePoint(*g.coords)
+    centers = PhasePoint(*broadcast_coords(*g.open_coords))
     out: list[Cylinder] = []
     for r in sorted(radii, reverse=True):
         r = float(r)
@@ -277,12 +279,6 @@ def find_dense_cylinders(
                 if n_q > 0 and n_e >= (1.0 - mu) * n_q:
                     out.append(Q)
     return out
-
-
-def _stacked_mask(grid: Grid, Q: Cylinder, m: int) -> np.ndarray:
-    bar = StackedCylinder(Q, m)
-    T, X, V = grid.coords
-    return bar.contains(T, X, V)
 
 
 def verify_inkspots(
@@ -321,7 +317,7 @@ def verify_inkspots(
                 f"dense cylinder of radius {Q.r} >= r0 = {r0} at "
                 f"(t={Q.center.t:.4f}, x={Q.center.x}, v={Q.center.v})"
             )
-        bar = _stacked_mask(E.grid, Q, m)
+        bar = E.grid.region_mask(Q.stacked(m))
         if np.any(bar & ~F.mask):
             raise InkspotsHypothesisError(
                 f"stacked extension of the dense cylinder at "
@@ -374,7 +370,7 @@ def generate_hypothesis_pair(
     rng = np.random.default_rng(seed)
     grid = standard_grid(n, d, t_max=m * (r0 / 2.0) ** 2)
     region = unit_past_cylinder(d)
-    T, X, V = grid.coords
+    T, X, V = grid.open_coords
     e_mask = np.zeros(grid.shape, dtype=bool)
     f_mask = np.zeros(grid.shape, dtype=bool)
     # smooth synthetic level set
@@ -400,7 +396,7 @@ def generate_hypothesis_pair(
         if not inside.any():
             continue
         e_mask[win] |= inside & level[win]
-        f_mask |= _stacked_mask(grid, Q, m)
+        f_mask |= grid.region_mask(Q.stacked(m))
         f_mask[win] |= inside
         placed += 1
     e_mask &= grid.region_mask(region)
@@ -425,7 +421,7 @@ def generate_hypothesis_pair(
     small_radii = [r for r in all_radii if r < r0]
     if small_radii and e_mask.any():
         for Q in find_dense_cylinders(E, 0.999, small_radii):
-            f_mask |= _stacked_mask(grid, Q, m)
+            f_mask |= grid.region_mask(Q.stacked(m))
     f_mask |= e_mask
     return E, DiscreteSet(grid, f_mask, region)
 

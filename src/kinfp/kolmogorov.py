@@ -21,6 +21,7 @@ bound h <= theta0 * sup f on the unit cylinder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "InsufficientPaddingError",
     "solve_cauchy",
     "CutoffFunction",
+    "CutoffValues",
     "build_cutoff",
     "theta0_parameters",
     "zero_fraction",
@@ -219,6 +221,22 @@ def _radial_profile(rho, lo, hi):
     return w, w1, w2
 
 
+class CutoffValues(NamedTuple):
+    """One evaluation of the scaled cutoff Psi and the derivatives the
+    estimates use, all at the same points."""
+
+    psi: np.ndarray  # Psi
+    transport: np.ndarray  # (d/dt + v . grad_x) Psi
+    grad_v: np.ndarray  # grad_v Psi, shape (..., d)
+    lap_v: np.ndarray  # Lap_v Psi = lap_v1 / R^2
+    lap_v1: np.ndarray  # Lap_v Psi1 at the scaled point (x/R, v/R)
+
+    @property
+    def lk(self) -> np.ndarray:
+        """L_K Psi = transport derivative minus velocity Laplacian."""
+        return self.transport - self.lap_v
+
+
 @dataclass(frozen=True)
 class CutoffFunction:
     """The localizing cutoff Psi(t, x, v) = Psi1(t, x/R, v/R).
@@ -241,133 +259,67 @@ class CutoffFunction:
     T: float
     R: float
 
-    # ---- phi1 ------------------------------------------------------------
-    def _phi1_coeffs(self):
+    def _phi1(self, t):
+        """(phi1(t), phi1'(t))."""
         a = self.eta**2 - self.T  # ramp value reached at t = -1 - T
         s0 = self.T / (1.0 - a)  # slope of the blend variable at u = 0
-        return a, s0
-
-    def _phi1(self, t):
-        t = np.asarray(t, dtype=float)
-        a, s0 = self._phi1_coeffs()
         u = np.clip((t + 1.0 + self.T) / self.T, 0.0, 1.0)
         blend = (s0 * u + (10.0 - 6.0 * s0) * u**3
                  + (8.0 * s0 - 15.0) * u**4 + (6.0 - 3.0 * s0) * u**5)
-        out = np.where(
-            t <= -1.0 - self.eta**2,
-            0.0,
-            np.where(
-                t <= -1.0 - self.T,
-                t + 1.0 + self.eta**2,
-                np.where(t <= -1.0, a + (1.0 - a) * blend, 1.0),
-            ),
-        )
-        return np.clip(out, 0.0, 1.0)
-
-    def _phi1p(self, t):
-        t = np.asarray(t, dtype=float)
-        a, s0 = self._phi1_coeffs()
-        u = np.clip((t + 1.0 + self.T) / self.T, 0.0, 1.0)
         dblend = (s0 + 3.0 * (10.0 - 6.0 * s0) * u**2
                   + 4.0 * (8.0 * s0 - 15.0) * u**3 + 5.0 * (6.0 - 3.0 * s0) * u**4)
-        out = np.where(
-            t <= -1.0 - self.eta**2,
-            0.0,
-            np.where(
-                t <= -1.0 - self.T,
-                1.0,
-                np.where(t <= -1.0, (1.0 - a) * dblend / self.T, 0.0),
-            ),
-        )
-        return np.clip(out, 0.0, None)
+        before = t <= -1.0 - self.eta**2
+        ramp = t <= -1.0 - self.T
+        in_blend = t <= -1.0
+        phi = np.where(before, 0.0, np.where(
+            ramp, t + 1.0 + self.eta**2,
+            np.where(in_blend, a + (1.0 - a) * blend, 1.0)))
+        dphi = np.where(before, 0.0, np.where(
+            ramp, 1.0,
+            np.where(in_blend, (1.0 - a) * dblend / self.T, 0.0)))
+        return np.clip(phi, 0.0, 1.0), np.clip(dphi, 0.0, None)
 
-    # ---- spatial profiles --------------------------------------------------
-    @staticmethod
-    def _norm(w):
-        return np.sqrt(np.sum(np.asarray(w, dtype=float) ** 2, axis=-1))
+    def evaluate(self, t, x, v) -> CutoffValues:
+        """Psi and its derivatives at (t, x, v) in one pass.
 
-    def psi1(self, t, x, v):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        xi = x - t[..., None] * v
-        w2, _, _ = _radial_profile(self._norm(xi), 3.0, 4.0)
-        w3, _, _ = _radial_profile(self._norm(v), 1.0, 2.0)
-        return self._phi1(t) * w2 * w3
-
-    def psi(self, t, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return self.psi1(t, x / self.R, v / self.R)
-
-    def transport_psi1(self, t, x, v):
-        """(d/dt + v . grad_x) Psi1 = phi1'(t) phi2(x - t v) phi3(v)."""
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        xi = x - t[..., None] * v
-        w2, _, _ = _radial_profile(self._norm(xi), 3.0, 4.0)
-        w3, _, _ = _radial_profile(self._norm(v), 1.0, 2.0)
-        return self._phi1p(t) * w2 * w3
-
-    def transport_psi(self, t, x, v):
-        """Transport derivative of the scaled cutoff.
-
-        The scaled slant coordinate x/R - t (v/R) is itself constant along
-        free transport, so this is just transport_psi1 at scaled arguments.
+        t has shape (...), x and v shape (..., d); any shapes that broadcast
+        against each other do, such as ``Grid.open_coords``.  (x, v) are
+        scaled by 1/R once, and the slant coordinate xi = x/R - t v/R, the
+        radial norms, the profiles and phi1, phi1' are each built once.  The
+        scaled slant coordinate is constant along free transport, so the
+        transport derivative is phi1' phi2 phi3 at the scaled point; grad_v
+        and Lap_v pick up 1/R and 1/R^2.
         """
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return self.transport_psi1(t, x / self.R, v / self.R)
-
-    def grad_v_psi1(self, t, x, v):
-        """Velocity gradient of Psi1, closed form, shape (..., d)."""
         t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        xi = x - t[..., None] * v
-        r2 = self._norm(xi)
-        r3 = self._norm(v)
-        w2, w2p, _ = _radial_profile(r2, 3.0, 4.0)
-        w3, w3p, _ = _radial_profile(r3, 1.0, 2.0)
-        safe2 = np.where(r2 > 0.0, r2, 1.0)
-        safe3 = np.where(r3 > 0.0, r3, 1.0)
-        term2 = (-t[..., None]) * (w2p / safe2)[..., None] * xi * w3[..., None]
-        term3 = (w3p / safe3)[..., None] * v * w2[..., None]
-        return self._phi1(t)[..., None] * (term2 + term3)
-
-    def grad_v_psi(self, t, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return self.grad_v_psi1(t, x / self.R, v / self.R) / self.R
-
-    def laplacian_v_psi1(self, t, x, v):
-        """Velocity Laplacian of Psi1, closed form."""
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
+        x = np.asarray(x, dtype=float) / self.R
+        v = np.asarray(v, dtype=float) / self.R
         d = x.shape[-1]
         xi = x - t[..., None] * v
         r2 = self._norm(xi)
         r3 = self._norm(v)
         w2, w2p, w2pp = _radial_profile(r2, 3.0, 4.0)
         w3, w3p, w3pp = _radial_profile(r3, 1.0, 2.0)
+        phi, dphi = self._phi1(t)
         safe2 = np.where(r2 > 0.0, r2, 1.0)
         safe3 = np.where(r3 > 0.0, r3, 1.0)
+        term2 = (-t[..., None]) * (w2p / safe2)[..., None] * xi * w3[..., None]
+        term3 = (w3p / safe3)[..., None] * v * w2[..., None]
         lap2 = w2pp + (d - 1) * w2p / safe2
         lap3 = w3pp + (d - 1) * w3p / safe3
         dot = np.sum(xi * v, axis=-1)
         cross = w2p * w3p * dot / (safe2 * safe3)
-        return self._phi1(t) * (t * t * lap2 * w3 - 2.0 * t * cross + w2 * lap3)
+        lap_v1 = phi * (t * t * lap2 * w3 - 2.0 * t * cross + w2 * lap3)
+        return CutoffValues(
+            psi=phi * w2 * w3,
+            transport=dphi * w2 * w3,
+            grad_v=phi[..., None] * (term2 + term3) / self.R,
+            lap_v=lap_v1 / self.R**2,
+            lap_v1=lap_v1,
+        )
 
-    def laplacian_v_psi(self, t, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return self.laplacian_v_psi1(t, x / self.R, v / self.R) / self.R**2
-
-    def lk_psi(self, t, x, v):
-        """L_K Psi = transport derivative minus velocity Laplacian."""
-        return self.transport_psi(t, x, v) - self.laplacian_v_psi(t, x, v)
+    @staticmethod
+    def _norm(w):
+        return np.sqrt(np.sum(w**2, axis=-1))
 
     def exterior_box(self, d: int) -> BoxCylinder:
         """The support box of the scaled cutoff: (-1-eta^2, 0] x B_8R x B_2R."""
@@ -538,29 +490,25 @@ def localization_bound(
             "decomposition_error": 0.0,
         }
 
-    T_, X, V = grid.coords
-    psi = cutoff.psi(T_, X, V)
-    transport = cutoff.transport_psi(T_, X, V)
-    lap = cutoff.laplacian_v_psi(T_, X, V)
+    psi = cutoff.evaluate(*grid.open_coords)
     gap = sup_f - f.values
 
-    h = solve_cauchy(ScalarField(grid, f.values * (transport - lap)),
+    h = solve_cauchy(ScalarField(grid, f.values * psi.lk),
                      boundary_tol=boundary_tol)
-    p_r = solve_cauchy(ScalarField(grid, gap * transport),
+    p_r = solve_cauchy(ScalarField(grid, gap * psi.transport),
                        boundary_tol=boundary_tol)
-    e_r = solve_cauchy(ScalarField(grid, gap * lap),
+    e_r = solve_cauchy(ScalarField(grid, gap * psi.lap_v),
                        boundary_tol=boundary_tol)
 
     # closed-form constant for the E_R claim: the maximum principle gives
     # |E_R| <= (time span) * sup|rhs| and sup|rhs| <= sup f * sup|Lap_v Psi1| / R^2
-    lap1 = cutoff.laplacian_v_psi1(T_, X / R, V / R)
-    c_e = (1.0 + eta**2) * sup_f * float(np.max(np.abs(lap1)))
+    c_e = (1.0 + eta**2) * sup_f * float(np.max(np.abs(psi.lap_v1)))
 
     sup_h_q1 = float(np.max(h.values[mask_q1]))
     min_p_q1 = float(np.min(p_r.values[mask_q1]))
     sup_e_q1 = float(np.max(e_r.values[mask_q1]))
     sup_e_abs = float(np.max(np.abs(e_r.values)))
-    recon = psi * sup_f - p_r.values + e_r.values
+    recon = psi.psi * sup_f - p_r.values + e_r.values
     decomposition_error = float(np.max(np.abs(h.values - recon)))
 
     return {

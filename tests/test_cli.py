@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kinfp import cli
+from kinfp.fields import Grid
 
 
 def write_config(tmp_path, body):
@@ -135,6 +137,83 @@ class TestRun:
             assert rec["degenerate"] == (expected is None)
             assert row.split(",")[4] == (
                 "" if expected is None else repr(float(expected)))
+
+
+def small_config(kind, d=1, count=1):
+    return cli.ExperimentConfig(
+        kind=kind, d=d, params=dict(cli._PARAM_DEFAULTS, count=count))
+
+
+class TestDimension:
+    @pytest.mark.parametrize(
+        "kind", ["pop", "minima-measure", "weak-harnack", "harnack"])
+    def test_d2_kinds_check_d2_regions(self, kind, monkeypatch):
+        # a constant mixture keeps sampling the d = 2 local grids cheap
+        monkeypatch.setattr(
+            cli, "make_kernel_mixture",
+            lambda seed, d=1, **kw: (lambda T, X, V: np.full(np.shape(T), 2.0),
+                                     {}))
+        dims = []
+        sample = Grid.sample
+
+        def recording(grid, fn):
+            dims.append(grid.d)
+            return sample(grid, fn)
+
+        monkeypatch.setattr(Grid, "sample", recording)
+        rows = cli._RUNNERS[kind](small_config(kind, d=2))
+        assert rows and all(r["passed"] for r in rows)
+        assert dims and set(dims) == {2}
+
+
+class TestWeakHarnackConstantRow:
+    def test_exact_volume_passes_at_d2(self):
+        rep = cli._run_weak_harnack(small_config("weak-harnack", 2, 0))[0]
+        assert rep["passed"]
+        assert rep["fitted_c"] == pytest.approx(
+            rep["params"]["expected_c"], rel=1e-10)
+
+    @pytest.mark.parametrize("mutation", ["d1-volume", "double", "zero"])
+    def test_wrong_volume_fails(self, mutation, monkeypatch):
+        # the volume is 4e-12 at d = 1 and 1.6e-19 at d = 2, so an absolute
+        # tolerance of 1e-10 would pass every one of these
+        real = cli.verify_weak_harnack
+
+        def mutated(f, **kw):
+            if mutation == "d1-volume":
+                return real(f, **{**kw, "d": 1})
+            rep = real(f, **kw)
+            rep.lhs *= 2.0 if mutation == "double" else 0.0
+            return rep
+
+        monkeypatch.setattr(cli, "verify_weak_harnack", mutated)
+        d = 2 if mutation == "d1-volume" else 1
+        rep = cli._run_weak_harnack(small_config("weak-harnack", d, 0))[0]
+        assert not rep["passed"]
+
+
+class TestFixturesKeepNoFullCoords:
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        made = []
+
+        def recording(*args):
+            made.append(Grid(*args))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "Grid", recording)
+        return made
+
+    def test_solve(self, grids):
+        cli._run_solve(cli.ExperimentConfig(kind="solve", n_t=8, n_x=16,
+                                            n_v=16))
+        assert grids and all("coords" not in g.__dict__ for g in grids)
+
+    def test_ramp_fixture(self, grids):
+        f, H = cli._ramp_fixture(cli.ExperimentConfig(kind="weak-poincare"),
+                                 0.5)
+        assert grids == [f.grid] and "coords" not in f.grid.__dict__
+        assert f.values.flags.c_contiguous
 
 
 class TestReplay:

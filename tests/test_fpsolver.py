@@ -133,6 +133,30 @@ class TestTridiagonal:
             assert len(calls) == expected, kind
 
 
+def test_d2_drift_cfl_bounds_the_l1_norm_of_b():
+    # B = (1, 1)/sqrt(2) has |B| = 1, but the upwind step adds both axes'
+    # updates to the same old values: monotone only while
+    # dt (|B_1| + |B_2|) <= dv.  At dt / dv = 0.8 a solve with the |B| limit
+    # turned a box of ones negative (min -0.127).
+    def setup(t_max):
+        g = Grid(BoxCylinder(0.0, t_max, np.zeros(2), 1.0, np.zeros(2), 1.0),
+                 2, 8, 8)
+        A = np.broadcast_to(1e-3 * np.eye(2), g.shape + (2, 2)).copy()
+        B = np.full(g.shape + (2,), 1.0 / math.sqrt(2.0))
+        c = CoefficientField(g, A, B, np.zeros(g.shape), lam=1e-3, Lam=1.0)
+        init = np.zeros(g.shape[1:])
+        init[2:6, 2:6, 2:6, 2:6] = 1.0
+        return g, c, init
+
+    g, c, init = setup(0.4)
+    assert g.dt / g.dv == pytest.approx(0.8)
+    with pytest.raises(CFLError):
+        SolverConfig(g, c, init, bc_x="periodic", bc_v="zero-flux")
+    g, c, init = setup(0.3)  # dt / dv = 0.6 <= 0.9 / sqrt(2)
+    f = solve(SolverConfig(g, c, init, bc_x="periodic", bc_v="zero-flux"))
+    assert f.values.min() >= 0.0
+
+
 GOLDEN_GRIDS = {
     1: Grid(BoxCylinder(0.5, 1.0, np.zeros(1), 6.0, np.zeros(1), 5.0), 16, 32, 16),
     2: Grid(BoxCylinder(0.5, 1.0, np.zeros(2), 6.0, np.zeros(2), 5.0), 6, 10, 8),

@@ -245,6 +245,26 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_hypothesis_pair(0, k=1, m=3, r0=1.5)
 
+    def test_generate_and_verify_keep_no_full_coords(self):
+        E, F = generate_hypothesis_pair(4, k=4, m=3, r0=0.3)
+        assert E.mask.any()
+        verify_inkspots(E, F, 0.3, 3, 0.3, 0.05, 1.0)
+        assert "coords" not in E.grid.__dict__
+        # with a dense cylinder, verify_inkspots builds its stacked mask
+        g = standard_grid((24, 24, 24), t_max=3 * 0.2**2)
+        z0 = PhasePoint(float(g.t_nodes[10]), np.array([g.x_axis[0][12]]),
+                        np.array([g.v_axis[0][12]]))
+        e_mask = g.region_mask(Cylinder(z0, 0.2)) & g.region_mask(
+            unit_past_cylinder(1))
+        E = region_set(g, e_mask)
+        f_mask = e_mask.copy()
+        for dense in find_dense_cylinders(E, 0.3, radii=[0.2, 0.1]):
+            f_mask |= g.region_mask(dense.stacked(3))
+        rep = verify_inkspots(E, region_set(g, f_mask), 0.3, 3, 0.3, 0.05,
+                              1.0, radii=[0.2, 0.1])
+        assert rep.params["dense_count"] > 0
+        assert "coords" not in g.__dict__
+
 
 class TestRle:
     def test_roundtrip(self):

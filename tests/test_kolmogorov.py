@@ -1,13 +1,20 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from kinfp import kolmogorov
-from kinfp.fields import BoxCylinder, Grid, ScalarField
+from kinfp.fields import (
+    BoxCylinder,
+    Grid,
+    NegSobolevInput,
+    ScalarField,
+    VectorField,
+)
 from kinfp.geometry import PhasePoint, group_product, origin, pop_parameters
+from kinfp.harness import verify_local_poincare
 from kinfp.kolmogorov import (
-    CutoffFunction,
     KolmogorovKernel,
     build_cutoff,
     kernel_eval,
@@ -128,49 +135,54 @@ class TestSolveCauchy:
 
 
 class TestCutoff:
+    """The cutoff at R = 1 is Psi1 itself: ``evaluate`` gives Psi1, its
+    transport derivative and its velocity Laplacian."""
+
     def setup_method(self):
         p = pop_parameters(0.5)
         self.eta = p.eta
         self.T = p.time_lap
         self.cut = build_cutoff(self.eta, self.T, 1.0)
 
-    def _eval(self, fn, t, x, v):
-        return np.ravel(fn(np.array([t]), np.array([[x]]), np.array([[v]])))[0]
+    def _eval(self, name, t, x, v, cut=None):
+        vals = (cut or self.cut).evaluate(
+            np.array([t]), np.array([[x]]), np.array([[v]]))
+        return np.ravel(getattr(vals, name))[0]
 
     def test_plateau(self):
-        assert self._eval(self.cut.psi1, -0.5, 0.0, 0.0) == pytest.approx(1.0)
+        assert self._eval("psi", -0.5, 0.0, 0.0) == pytest.approx(1.0)
         for (t, x, v) in [(-0.9, 0.8, -0.7), (-0.01, -0.5, 0.99)]:
-            assert self._eval(self.cut.psi1, t, x, v) == pytest.approx(1.0)
+            assert self._eval("psi", t, x, v) == pytest.approx(1.0)
 
     def test_support_in_v(self):
         for v in (2.0, 2.5, -2.0):
-            assert self._eval(self.cut.psi1, -0.5, 0.0, v) == 0.0
+            assert self._eval("psi", -0.5, 0.0, v) == 0.0
 
     def test_support_in_time(self):
-        assert self._eval(self.cut.psi1, -1.0 - self.eta**2 - 1e-9, 0, 0) == 0.0
+        assert self._eval("psi", -1.0 - self.eta**2 - 1e-9, 0, 0) == 0.0
 
     def test_range(self):
         rng = np.random.default_rng(3)
         t = rng.uniform(-1.4, 0.0, 4000)
         x = rng.uniform(-9, 9, (4000, 1))
         v = rng.uniform(-3, 3, (4000, 1))
-        vals = self.cut.psi1(t, x, v)
+        vals = self.cut.evaluate(t, x, v).psi
         assert vals.min() >= 0.0 and vals.max() <= 1.0 + 1e-12
 
     def test_transport_lower_bounds(self):
         t0 = -1.0 - self.eta**2 + 1e-3
-        val = self._eval(self.cut.transport_psi1, t0, 0.0, 0.0)
+        val = self._eval("transport", t0, 0.0, 0.0)
         assert val >= 1.0
         rng = np.random.default_rng(4)
         t = rng.uniform(-1.4, 0.0, 2000)
         x = rng.uniform(-9, 9, (2000, 1))
         v = rng.uniform(-3, 3, (2000, 1))
-        assert self.cut.transport_psi1(t, x, v).min() >= -1e-9
+        assert self.cut.evaluate(t, x, v).transport.min() >= -1e-9
 
     def test_scaled_cutoff_plateau_and_support(self):
         cut = build_cutoff(self.eta, self.T, 4.0)
-        assert self._eval(cut.psi, -0.5, 3.0, 3.0) == pytest.approx(1.0)
-        assert self._eval(cut.psi, -0.5, 0.0, 8.5) == 0.0
+        assert self._eval("psi", -0.5, 3.0, 3.0, cut) == pytest.approx(1.0)
+        assert self._eval("psi", -0.5, 0.0, 8.5, cut) == 0.0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -188,13 +200,47 @@ class TestCutoff:
             t = float(rng.uniform(-1.2, -0.02))
             x = float(rng.uniform(-7, 7))
             v = float(rng.uniform(-1.9, 1.9))
-            f = lambda tt, xx, vv: self._eval(self.cut.psi1, tt, xx, vv)
+            f = lambda tt, xx, vv: self._eval("psi", tt, xx, vv)
             transport = (f(t + h, x + h * v, v) - f(t - h, x - h * v, v)) / (2 * h)
-            got = self._eval(self.cut.transport_psi1, t, x, v)
+            got = self._eval("transport", t, x, v)
             assert got == pytest.approx(transport, abs=5e-5)
             lap = (f(t, x, v + h) - 2 * f(t, x, v) + f(t, x, v - h)) / h**2
-            got_lap = self._eval(self.cut.laplacian_v_psi1, t, x, v)
+            got_lap = self._eval("lap_v", t, x, v)
             assert got_lap == pytest.approx(lap, abs=5e-4)
+            grad = (f(t, x, v + h) - f(t, x, v - h)) / (2 * h)
+            assert self._eval("grad_v", t, x, v) == pytest.approx(grad,
+                                                                  abs=5e-5)
+
+    @pytest.mark.parametrize("R", [1.0, 3.0])
+    def test_scaling(self, R):
+        # Psi(t, x, v) = Psi1(t, x/R, v/R): the scaled pass at (x, v) is the
+        # unscaled pass at (x/R, v/R), with grad_v over R and Lap_v over R^2
+        rng = np.random.default_rng(6)
+        t = rng.uniform(-1.4, 0.0, 500)
+        x = rng.uniform(-9, 9, (500, 2)) * R
+        v = rng.uniform(-3, 3, (500, 2)) * R
+        got = build_cutoff(self.eta, self.T, R).evaluate(t, x, v)
+        one = self.cut.evaluate(t, x / R, v / R)
+        assert np.array_equal(got.psi, one.psi)
+        assert np.array_equal(got.transport, one.transport)
+        assert np.array_equal(got.lap_v1, one.lap_v)
+        assert np.array_equal(got.lap_v, one.lap_v / R**2)
+        assert np.array_equal(got.grad_v, one.grad_v / R)
+        assert np.array_equal(got.lk, got.transport - got.lap_v)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("R", [1.0, 2.0, 3.0])
+    def test_open_coords_match_full_grid(self, d, R):
+        box = BoxCylinder(-1.0 - self.eta**2, 0.0, np.full(d, 0.3), 8.0 * R,
+                          np.full(d, -0.1), 2.0 * R)
+        g = Grid(box, *((12, 40, 16) if d == 1 else (6, 14, 10)))
+        cut = build_cutoff(self.eta, self.T, R)
+        got = cut.evaluate(*g.open_coords)
+        want = cut.evaluate(*g.coords)
+        for name in got._fields:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape, name
+            assert np.array_equal(a, b), name
 
 
 class TestThetaParameters:
@@ -270,3 +316,63 @@ class TestLocalization:
         f = ScalarField(g, np.ones(g.shape))
         with pytest.raises(ValueError):
             localization_bound(f, eta)
+
+
+def golden_fixture(eta, R):
+    """f >= 0 from arithmetic only, vanishing for v < 1/4, on a grid that
+    covers the support box of the cutoff at radius R."""
+    box = BoxCylinder(-1.0 - eta**2, 0.0, np.zeros(1), 8.0 * R,
+                      np.zeros(1), 2.0 * R)
+    # at (64, 300, 42), max |Lap_v Psi1| differs in its last bit from
+    # max |R^2 Lap_v Psi|, and so does c_e on this f
+    g = Grid(box, 32, 96, 16) if R == 1.0 else Grid(box, 64, 300, 42)
+    return g.sample(lambda T, X, V: (
+        np.clip(V[..., 0] - 0.25, 0.0, None)
+        * np.clip(1.0 - (X[..., 0] / (6.0 * R) - 0.1) ** 2, 0.0, None)
+        * (3.0 + T)))
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestCutoffGolden:
+    """sha256 prefixes recorded with the cutoff that rebuilt the slant
+    coordinate, the norms and the profiles in each of its nine evaluators,
+    on full-grid coordinates.  The one-pass evaluation on open coordinates
+    must reproduce them bit for bit, and fill no ``Grid.coords``."""
+
+    # R: (h, P_R, E_R, c_e)
+    LOCALIZATION = {
+        1.0: ("bf9b636f3141b1b1", "63b07e7fa9d2c69f", "3b2bd16a48f56043",
+              "33fab8072e601dac"),
+        3.0: ("8894959e67aa9920", "de9b921ee6651381", "ebfee64f0f6b8b37",
+              "a9a7d1edeaa26099"),
+    }
+    # R: (lhs, rhs, sup |grad_v Psi|), on the R = 1 fixture
+    LOCAL_POINCARE = {1.0: "0f5aa95e460a8dc2", 3.0: "7447ecde0954cb1d"}
+
+    @pytest.mark.parametrize("R", [1.0, 3.0])
+    def test_localization_bound(self, R):
+        eta = pop_parameters(0.5).eta
+        f = golden_fixture(eta, R)
+        out = localization_bound(f, eta, R=R)
+        got = tuple(digest(a) for a in (out["h"].values, out["P_R"].values,
+                                        out["E_R"].values, out["c_e"]))
+        assert got == self.LOCALIZATION[R]
+        assert "coords" not in f.grid.__dict__
+
+    @pytest.mark.parametrize("R", [1.0, 3.0])
+    def test_local_poincare(self, R):
+        eta = pop_parameters(0.5).eta
+        f = golden_fixture(eta, 1.0)
+        g = f.grid
+        H = NegSobolevInput(ScalarField(g, np.zeros(g.shape)),
+                            VectorField(g, np.zeros(g.shape + (1,))))
+        rep = verify_local_poincare(f, H, build_cutoff(eta, eta**2 / 8, R))
+        got = digest(rep.lhs, rep.rhs, rep.details["grad_v_psi_sup"])
+        assert got == self.LOCAL_POINCARE[R]
+        assert "coords" not in g.__dict__
