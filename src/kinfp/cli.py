@@ -39,12 +39,16 @@ from .geometry import (
     Cylinder,
     PhasePoint,
     check_stacking,
+    cylinder_in_box,
     group_product,
     origin,
     q_bar,
+    q_minus,
     q_one,
     q_pos,
+    radius_power,
     stack_cylinders,
+    uniform_from,
 )
 from .harness import (
     HypothesisError,
@@ -231,20 +235,20 @@ def _run_geometry_check(cfg: ExperimentConfig) -> list[dict]:
     rows = [_row("geometry-check", 0, cfg.seed, VerificationReport(
         "group-associativity", err, 1e-12, params={"samples": n},
         passed=err <= 1e-12))]
-    fails = 0
     count = int(cfg.params["count"]) * 40
-    for i in range(count):
-        r = float(rng.uniform(1e-4, 9e-3))
-        omega = 1e-2
-        t0 = float(rng.uniform(-1.0 + r**2, -1.0 + omega**2))
-        x0 = rng.uniform(-omega**3 / 2, omega**3 / 2, size=d)
-        v0 = rng.uniform(-(omega - r), omega - r, size=d)
-        try:
-            seq = stack_cylinders(PhasePoint(t0, x0, v0), r, omega)
-        except ValueError:
-            continue
-        checks = check_stacking(seq)
-        fails += not all(checks.values())
+    omega = 1e-2
+    # base i is drawn as rng.uniform calls for r, t0, x0 (d), v0 (d)
+    u = rng.random((count, 2 + 2 * d))
+    r = uniform_from(u[:, 0], 1e-4, 9e-3)
+    t0 = uniform_from(u[:, 1], -1.0 + radius_power(r, 2), -1.0 + omega**2)
+    x0 = uniform_from(u[:, 2:2 + d], -omega**3 / 2, omega**3 / 2)
+    v_max = (omega - r)[:, None]
+    v0 = uniform_from(u[:, 2 + d:], -v_max, v_max)
+    bases = Cylinder(PhasePoint(t0, x0, v0), r)
+    inside = cylinder_in_box(bases, q_minus(omega, d))
+    checks = check_stacking(stack_cylinders(bases.center[inside], r[inside],
+                                            omega))
+    fails = int(np.count_nonzero(~np.all(list(checks.values()), axis=0)))
     rows.append(_row("geometry-check", 1, cfg.seed, VerificationReport(
         "stacking-closed-form", float(fails), 0.0, params={"bases": count},
         passed=fails == 0)))

@@ -15,13 +15,15 @@ Points and cylinders may be batches: a PhasePoint with ``t`` of shape
 Cylinder over such a center (with a scalar radius or one of shape (...))
 is that many cylinders.  The group law, the scaling and the inclusion
 predicates then work elementwise, with the arithmetic of the single-point
-case, so every batch element equals the scalar call bit for bit.
+case, so every batch element equals the scalar call bit for bit.  Powers of
+a radius go through ``radius_power``, whose array case rounds as Python's
+float ``pow`` does; numpy's array ``**`` may round differently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +43,8 @@ __all__ = [
     "cylinder_in_cylinder",
     "stack_cylinders",
     "pop_parameters",
+    "radius_power",
+    "uniform_from",
     "q_minus",
     "q_plus",
     "q_zero",
@@ -54,13 +58,6 @@ __all__ = [
 OMEGA_MAX = 1e-2
 
 
-def _as_vec(a) -> np.ndarray:
-    out = np.atleast_1d(np.asarray(a, dtype=float))
-    if out.ndim != 1:
-        raise ValueError("coordinate must be a scalar or 1-d vector")
-    return out
-
-
 def _col(a) -> np.ndarray:
     """a[..., None]: one scalar per point, lined up against (..., d) vectors."""
     return np.asarray(a)[..., None]
@@ -69,6 +66,27 @@ def _col(a) -> np.ndarray:
 def _scalar_or_batch(mask):
     """A Python bool for a single point or cylinder, the array for a batch."""
     return bool(mask) if np.ndim(mask) == 0 else mask
+
+
+_pow_each = np.frompyfunc(pow, 2, 1)
+
+
+def radius_power(r, e):
+    """r ** e, also for an array r, where it is taken element by element
+    with Python's float ``pow``.  numpy's array ``**`` may round otherwise
+    (its vector loops can give another last bit, for about 5% of random
+    cubes with numpy 2.4.6 on x86-64), so a batch would not equal its
+    single-element calls."""
+    if not isinstance(r, np.ndarray) or r.ndim == 0:
+        return r**e
+    return _pow_each(r.astype(float, copy=False), e).astype(float)
+
+
+def uniform_from(u, lo, hi):
+    """The draw ``rng.uniform(lo, hi)`` makes from ``u = rng.random()``, in
+    numpy's own arithmetic: columns of one ``rng.random((n, k))`` call turn
+    into n rows of k interleaved ``uniform`` calls, bit for bit."""
+    return lo + (hi - lo) * u
 
 
 @dataclass(frozen=True)
@@ -136,16 +154,22 @@ def scale(r: float, z: PhasePoint) -> PhasePoint:
     """Kinetic scaling S_r(z) = (r^2 t, r^3 x, r v), r > 0."""
     if r <= 0:
         raise ValueError(f"scaling parameter must be positive, got {r}")
-    return PhasePoint(r * r * z.t, r**3 * z.x, r * z.v)
+    return PhasePoint(r * r * z.t, radius_power(r, 3) * z.x, r * z.v)
 
 
 def ball_volume(d: int, radius: float) -> float:
     """Lebesgue measure of the Euclidean d-ball."""
-    return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * radius**d
+    return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * radius_power(radius, d)
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.square(a), axis=-1))
+
+
+def _speed(z: PhasePoint):
+    """|v| of a point (a float) or of each point of a batch."""
+    speed = _norm(z.v)
+    return float(speed) if np.ndim(speed) == 0 else speed
 
 
 def _unit_coords(base: "Cylinder", t, x, v):
@@ -161,7 +185,7 @@ def _unit_coords(base: "Cylinder", t, x, v):
     k = 1.0 / base.r
     s = t - z0.t
     s_unit = k * k * s
-    x_unit = _norm(_col(k**3) * (x - z0.x - _col(s) * z0.v))
+    x_unit = _norm(_col(radius_power(k, 3)) * (x - z0.x - _col(s) * z0.v))
     v_unit = _norm(_col(k) * (v - z0.v))
     return s_unit, x_unit, v_unit
 
@@ -178,6 +202,8 @@ class Cylinder:
         |k * (v - v0)| < 1.
 
     ``r`` is a float, or an array of shape (...) for a batch of centers.
+    A batch tests points whose shapes broadcast against it from the right:
+    t of shape (..., B), x and v of shape (..., B, d) for B cylinders.
     """
 
     center: PhasePoint
@@ -201,6 +227,11 @@ class Cylinder:
     def contains_point(self, z: PhasePoint) -> bool:
         return _scalar_or_batch(self.contains(z.t, z.x, z.v))
 
+    def __getitem__(self, index) -> "Cylinder":
+        """The cylinder (or sub-batch) at ``index`` of the batch axes."""
+        r = self.r if np.ndim(self.r) == 0 else self.r[index]
+        return Cylinder(self.center[index], r)
+
     def contains_via_group(self, z: PhasePoint) -> bool:
         """Equivalent membership z0^{-1} o z in Q_r(0)."""
         w = group_product(group_inverse(self.center), z)
@@ -210,14 +241,16 @@ class Cylinder:
     def box_hull(self) -> "BoxCylinder":
         """The box (t0 - r^2, t0] x B_{r^3 + r^2 |v0|}(x0) x B_r(v0) holding
         Q_r(z0): along the slant the x-section center moves by at most
-        r^2 |v0|.  Single cylinders only."""
+        r^2 |v0|.  A batch of cylinders gives a batch of boxes."""
         z0, r = self.center, self.r
-        speed = float(np.sqrt(np.sum(z0.v**2)))
-        return BoxCylinder(z0.t - r**2, z0.t, z0.x, r**3 + r**2 * speed, z0.v, r)
+        r2 = radius_power(r, 2)
+        return BoxCylinder(z0.t - r2, z0.t, z0.x,
+                           radius_power(r, 3) + r2 * _speed(z0), z0.v, r)
 
     def volume(self) -> float:
-        d = self.d
-        return self.r**2 * ball_volume(d, self.r**3) * ball_volume(d, self.r)
+        d, r = self.d, self.r
+        return (radius_power(r, 2) * ball_volume(d, radius_power(r, 3))
+                * ball_volume(d, r))
 
     def stacked(self, m: int) -> "StackedCylinder":
         return StackedCylinder(self, m)
@@ -247,10 +280,25 @@ class StackedCylinder:
     def contains_point(self, z: PhasePoint) -> bool:
         return _scalar_or_batch(self.contains(z.t, z.x, z.v))
 
+    def box_hull(self) -> "BoxCylinder":
+        """The box (t0, t0 + m r^2] x B_{(m+2) r^3 + m r^2 |v0|}(x0) x
+        B_r(v0) holding the stack: over its m r^2 of time the slant moves
+        the x-section center by at most m r^2 |v0|."""
+        z0, r, m = self.base.center, self.base.r, self.m
+        r2 = radius_power(r, 2)
+        return BoxCylinder(z0.t, z0.t + m * r2, z0.x,
+                           (m + 2) * radius_power(r, 3) + m * r2 * _speed(z0),
+                           z0.v, r)
+
 
 @dataclass(frozen=True)
 class BoxCylinder:
-    """Axis-aligned cylinder I x B^x x B^v with half-open time interval (a, b]."""
+    """Axis-aligned cylinder I x B^x x B^v with half-open time interval (a, b].
+
+    A batch of boxes has t_min, t_max, rx, rv of shape (...) and centers of
+    shape (..., d); points broadcast against it as against a batch of
+    ``Cylinder``s.
+    """
 
     t_min: float
     t_max: float
@@ -260,16 +308,20 @@ class BoxCylinder:
     rv: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x_center", _as_vec(self.x_center))
-        object.__setattr__(self, "v_center", _as_vec(self.v_center))
-        if not self.t_min < self.t_max:
+        x = np.atleast_1d(np.asarray(self.x_center, dtype=float))
+        v = np.atleast_1d(np.asarray(self.v_center, dtype=float))
+        if np.ndim(self.t_min) == 0 and (x.ndim != 1 or v.ndim != 1):
+            raise ValueError("coordinate must be a scalar or 1-d vector")
+        object.__setattr__(self, "x_center", x)
+        object.__setattr__(self, "v_center", v)
+        if not np.all(self.t_min < self.t_max):
             raise ValueError("time interval must satisfy a < b")
-        if self.rx <= 0 or self.rv <= 0:
+        if np.any(self.rx <= 0) or np.any(self.rv <= 0):
             raise ValueError("ball radii must be positive")
 
     @property
     def d(self) -> int:
-        return self.x_center.size
+        return self.x_center.shape[-1]
 
     def contains(self, t, x, v) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -293,7 +345,8 @@ class BoxCylinder:
 
 def q_minus(omega: float, d: int = 1) -> BoxCylinder:
     """Past cylinder (-1, -1+omega^2] x B_{omega^3} x B_omega."""
-    return BoxCylinder(-1.0, -1.0 + omega**2, np.zeros(d), omega**3, np.zeros(d), omega)
+    return BoxCylinder(-1.0, -1.0 + radius_power(omega, 2), np.zeros(d),
+                       radius_power(omega, 3), np.zeros(d), omega)
 
 
 def q_plus(omega: float, d: int = 1) -> Cylinder:
@@ -303,12 +356,14 @@ def q_plus(omega: float, d: int = 1) -> Cylinder:
 
 def q_zero(eta: float, d: int = 1) -> BoxCylinder:
     """Vanishing-set cylinder (-1-eta^2, -1] x B_{eta^3} x B_eta."""
-    return BoxCylinder(-1.0 - eta**2, -1.0, np.zeros(d), eta**3, np.zeros(d), eta)
+    return BoxCylinder(-1.0 - radius_power(eta, 2), -1.0, np.zeros(d),
+                       radius_power(eta, 3), np.zeros(d), eta)
 
 
 def q_pos(theta: float, d: int = 1) -> BoxCylinder:
     """Positivity cylinder (-1-theta^2, -1] x B_{theta^3} x B_theta."""
-    return BoxCylinder(-1.0 - theta**2, -1.0, np.zeros(d), theta**3, np.zeros(d), theta)
+    return BoxCylinder(-1.0 - radius_power(theta, 2), -1.0, np.zeros(d),
+                       radius_power(theta, 3), np.zeros(d), theta)
 
 
 def q_one(d: int = 1) -> BoxCylinder:
@@ -326,16 +381,17 @@ def cylinder_in_box(Q: Cylinder, B: BoxCylinder, tol: float = 0.0) -> bool:
 
     The x-section center drifts affinely along x0 + s v0 for
     s in (-r^2, 0], so the norm is maximized at an endpoint.  Elementwise
-    over a batch of cylinders.
+    over a batch of cylinders and/or boxes.
     """
     z0, r = Q.center, Q.r
-    in_t = (z0.t <= B.t_max + tol) & (z0.t - r**2 >= B.t_min - tol)
+    r2 = radius_power(r, 2)
+    in_t = (z0.t <= B.t_max + tol) & (z0.t - r2 >= B.t_min - tol)
     in_v = _norm(z0.v - B.v_center) + r <= B.rv + tol
     drift = np.maximum(
         _norm(z0.x - B.x_center),
-        _norm(z0.x - _col(r**2) * z0.v - B.x_center),
+        _norm(z0.x - _col(r2) * z0.v - B.x_center),
     )
-    return _scalar_or_batch(in_t & in_v & (drift + r**3 <= B.rx + tol))
+    return _scalar_or_batch(in_t & in_v & (drift + radius_power(r, 3) <= B.rx + tol))
 
 
 def cylinder_in_cylinder(Qin: Cylinder, Qout: Cylinder, tol: float = 0.0) -> bool:
@@ -349,106 +405,165 @@ def cylinder_in_cylinder(Qin: Cylinder, Qout: Cylinder, tol: float = 0.0) -> boo
     """
     zi, ri = Qin.center, Qin.r
     zo, ro = Qout.center, Qout.r
+    ri2 = radius_power(ri, 2)
     dt = zi.t - zo.t
     dv = zi.v - zo.v
-    in_t = (dt <= tol) & (zi.t - ri**2 >= zo.t - ro**2 - tol)
+    in_t = (dt <= tol) & (zi.t - ri2 >= zo.t - radius_power(ro, 2) - tol)
     in_v = _norm(dv) + ri <= ro + tol
     base = zi.x - zo.x - _col(dt) * zo.v
-    drift = np.maximum(_norm(base), _norm(base - _col(ri**2) * dv))
-    return _scalar_or_batch(in_t & in_v & (drift + ri**3 <= ro**3 + tol))
+    drift = np.maximum(_norm(base), _norm(base - _col(ri2) * dv))
+    return _scalar_or_batch(
+        in_t & in_v & (drift + radius_power(ri, 3) <= radius_power(ro, 3) + tol))
 
 
 @dataclass(frozen=True)
 class StackedSequence:
-    """The growing sequence of cylinders stacked over a base Q_r(z0) in Q_-."""
+    """The growing sequence of cylinders stacked over a base Q_r(z0) in Q_-,
+    or over each base of a batch.
+
+    For one base, ``T`` lists T_1..T_{N+1}, ``cylinders`` lists Q[1..N+1]
+    (the last one re-centered) and ``N``, ``R``, ``R_last`` are numbers.  For
+    a batch of B bases, ``T`` is a (B, K) array of T_1..T_K and
+    ``cylinders`` a (B, K) batch of the doubling cylinders Q_{2^k r}(z_k);
+    base b uses the columns k <= N[b], and ``last`` holds its Q[N+1].
+    ``N``, ``R`` and ``R_last`` are then arrays of shape (B,).
+    """
 
     base: Cylinder
     omega: float
-    T: list[float]          # partial sums T_k = sum_{j<=k} (2^j r)^2, k = 1..N+1
-    centers: list[PhasePoint]  # z_k = z0 o (T_k, 0, 0), k = 1..N
-    N: int
+    T: list[float] | np.ndarray   # partial sums T_k = sum_{j<=k} (2^j r)^2
+    N: int | np.ndarray
     rho: float
-    R: float
-    R_last: float           # radius of Q[N+1]
-    cylinders: list[Cylinder] = field(default_factory=list)  # Q[1..N+1]
-    predecessor: Cylinder | None = None  # Qtilde[N]
-
-    @property
-    def last(self) -> Cylinder:
-        return self.cylinders[-1]
+    R: float | np.ndarray
+    R_last: float | np.ndarray    # radius of Q[N+1]
+    cylinders: list[Cylinder] | Cylinder
+    last: Cylinder                # Q[N+1]
+    predecessor: Cylinder         # Qtilde[N]
 
 
-def stack_cylinders(z0: PhasePoint, r: float, omega: float) -> StackedSequence:
+def stack_cylinders(z0: PhasePoint, r, omega: float) -> StackedSequence:
     """Build the stacking sequence over Q_r(z0) subset of Q_-.
 
     Cylinders Q[k] = Q_{2^k r}(z_k) with z_k = z0 o (T_k, 0, 0) double in
     radius until the remaining time is exhausted; the last cylinder
     Q[N+1] is re-centered so that its predecessor sits inside Q[N].
-    Guarantees (asserted in closed form):
+    Guarantees (checked in closed form by ``check_stacking``):
 
     * Q_+ subset of Q[N+1],
     * every Q[k] subset of (-1, 0] x B_2 x B_2,
     * Qtilde[N] subset of Q[N],
     * 2^N r >= 1/(2 sqrt 2).
+
+    ``z0`` may be a batch of B bases (t of shape (B,)) with ``r`` of shape
+    (B,): the partial sums are then built one column k at a time for all
+    bases, with the arithmetic of the single-base case, and every base of
+    the batch equals its single-base call bit for bit.  A single base is
+    stacked as a batch of one.  Raises ValueError if a base cylinder is
+    not inside Q_-.
     """
     if not 0 < omega <= OMEGA_MAX:
         raise ValueError(f"scale parameter must lie in (0, {OMEGA_MAX}], got {omega}")
-    d = z0.d
+    if np.ndim(z0.t) > 0:
+        return _stack_batch(z0, r, omega)
     base = Cylinder(z0, r)
-    if not cylinder_in_box(base, q_minus(omega, d)):
+    batch = _cylinder_batch([base])
+    one = _stack_batch(batch.center, batch.r, omega)
+    n, last = int(one.N[0]), one.last[0]
+    return replace(
+        one, base=base, T=one.T[0, :n + 1].tolist(), N=n,
+        R=float(one.R[0]), R_last=float(one.R_last[0]),
+        cylinders=[one.cylinders[0, k] for k in range(n)] + [last],
+        last=last, predecessor=one.predecessor[0])
+
+
+def _stack_batch(z0: PhasePoint, r, omega: float) -> StackedSequence:
+    """``stack_cylinders`` over a batch of bases."""
+    d = z0.d
+    r = np.asarray(r, dtype=float)
+    base = Cylinder(z0, r)
+    if not np.all(cylinder_in_box(base, q_minus(omega, d))):
         raise ValueError("base cylinder is not contained in Q_-")
 
     t0 = z0.t
-    T: list[float] = []
-    k = 0
-    while True:
-        k += 1
-        Tk = (T[-1] if T else 0.0) + (2**k * r) ** 2
+    T, radii = [], []
+    Tk = np.zeros_like(t0)
+    while not T or not np.all(Tk > -t0):  # until T_N <= -t0 < T_{N+1}
+        radii.append(2 ** (len(T) + 1) * r)  # 2^k r at k = len(T) + 1
+        Tk = Tk + radius_power(radii[-1], 2)
         T.append(Tk)
-        if Tk > -t0:
-            break
-    N = len(T) - 1  # T_N <= -t0 < T_{N+1}
+    T, radii = np.stack(T, axis=-1), np.stack(radii, axis=-1)
+    N = np.argmax(T > -t0[:, None], axis=-1)
+    zero = np.zeros(T.shape + (d,))
+    centers = group_product(z0[:, None], PhasePoint(T, zero, zero))
+    cylinders = Cylinder(centers, radii)
 
-    centers = [group_product(z0, PhasePoint(T[k - 1], np.zeros(d), np.zeros(d))) for k in range(1, N + 1)]
-    cylinders = [Cylinder(centers[k - 1], 2**k * r) for k in range(1, N + 1)]
-
-    rho = (4.0 * omega) ** (1.0 / 3.0)
-    R = abs(t0 + T[N - 1]) ** 0.5
-    R_last = max(R, rho)
-    if R >= rho:
-        z_last = group_product(centers[-1], PhasePoint(R**2, np.zeros(d), np.zeros(d)))
-    else:
-        z_last = origin(d)
-    cylinders.append(Cylinder(z_last, R_last))
-
-    pred_center = group_product(z_last, PhasePoint(-(R_last**2), np.zeros(d), np.zeros(d)))
-    predecessor = Cylinder(pred_center, R_last / 2.0)
-
+    rows = np.arange(t0.size)
+    rho = radius_power(4.0 * omega, 1.0 / 3.0)
+    R = radius_power(np.abs(t0 + T[rows, N - 1]), 0.5)
+    far = R >= rho
+    R_last = np.where(far, R, rho)
+    zero = np.zeros(t0.shape + (d,))
+    ahead = group_product(centers[rows, N - 1],
+                          PhasePoint(radius_power(R, 2), zero, zero))
+    z_last = PhasePoint(np.where(far, ahead.t, 0.0),
+                        np.where(far[:, None], ahead.x, 0.0),
+                        np.where(far[:, None], ahead.v, 0.0))
+    pred_center = group_product(
+        z_last, PhasePoint(-radius_power(R_last, 2), zero, zero))
     return StackedSequence(
         base=base,
         omega=omega,
         T=T,
-        centers=centers,
         N=N,
         rho=rho,
         R=R,
         R_last=R_last,
         cylinders=cylinders,
-        predecessor=predecessor,
+        last=Cylinder(z_last, R_last),
+        predecessor=Cylinder(pred_center, R_last / 2.0),
     )
 
 
-def check_stacking(seq: StackedSequence, tol: float = 1e-12) -> dict[str, bool]:
+def check_stacking(seq: StackedSequence, tol: float = 1e-12) -> dict:
     """Closed-form verification of the three stacking guarantees plus the
-    lower bound on the radius of Q[N]."""
-    d = seq.base.d
+    lower bound on the radius of Q[N]: one bool per guarantee for a single
+    base, one boolean array of shape (B,) for a batch of B bases.  A single
+    sequence is checked on its own fields (``cylinders``, ``N``, ``last``,
+    ``predecessor``), lined up as a batch of one."""
+    if np.ndim(seq.N) > 0:
+        return _check_stacks(seq.cylinders, seq.N, seq.last, seq.predecessor,
+                             seq.omega, tol)
+    ok = _check_stacks(_cylinder_batch(seq.cylinders[:-1])[None],
+                       np.array([seq.N]), _cylinder_batch([seq.last]),
+                       _cylinder_batch([seq.predecessor]), seq.omega, tol)
+    return {key: bool(value[0]) for key, value in ok.items()}
+
+
+def _check_stacks(cylinders: Cylinder, N: np.ndarray, last: Cylinder,
+                  predecessor: Cylinder, omega: float, tol: float) -> dict:
+    """``check_stacking`` over B stacks: ``cylinders`` a (B, K) batch whose
+    columns k <= N[b] are Q[1..N] of stack b, ``last`` and ``predecessor``
+    batches of shape (B,)."""
+    d = last.d
     envelope = BoxCylinder(-1.0, 0.0, np.zeros(d), 2.0, np.zeros(d), 2.0)
+    q_n = cylinders[np.arange(N.size), N - 1]
+    unused = np.arange(np.shape(cylinders.r)[-1]) >= N[:, None]  # columns k > N
+    in_envelope = cylinder_in_box(cylinders, envelope, tol=tol) | unused
     return {
-        "q_plus_captured": cylinder_in_cylinder(q_plus(seq.omega, d), seq.last, tol=tol),
-        "union_in_envelope": all(cylinder_in_box(Q, envelope, tol=tol) for Q in seq.cylinders),
-        "predecessor_inside": cylinder_in_cylinder(seq.predecessor, seq.cylinders[seq.N - 1], tol=tol),
-        "radius_lower_bound": 2**seq.N * seq.base.r >= 1.0 / (2.0 * math.sqrt(2.0)) - tol,
+        "q_plus_captured": cylinder_in_cylinder(q_plus(omega, d), last, tol=tol),
+        "union_in_envelope": (np.all(in_envelope, axis=-1)
+                              & cylinder_in_box(last, envelope, tol=tol)),
+        "predecessor_inside": cylinder_in_cylinder(predecessor, q_n, tol=tol),
+        "radius_lower_bound": q_n.r >= 1.0 / (2.0 * math.sqrt(2.0)) - tol,
     }
+
+
+def _cylinder_batch(cylinders: list[Cylinder]) -> Cylinder:
+    """Single cylinders as one batch of shape (len(cylinders),)."""
+    return Cylinder(PhasePoint(np.array([Q.center.t for Q in cylinders]),
+                               np.array([Q.center.x for Q in cylinders]),
+                               np.array([Q.center.v for Q in cylinders])),
+                    np.array([Q.r for Q in cylinders]))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ from .geometry import (
     PhasePoint,
     cylinder_in_cylinder,
     origin,
+    radius_power,
+    uniform_from,
 )
 from .report import VerificationReport
 
@@ -87,26 +89,45 @@ class DiscreteSet:
         return DiscreteSet(self.grid, self.mask & self.region_mask, self.region)
 
 
-def _index_window(grid: Grid, Q: Cylinder):
-    """Slices of grid axes covering the box hull of Q, padded by one cell
-    on every side."""
+def _index_window(grid: Grid, Q):
+    """Index bounds (lo, hi) of the nodes along each grid axis (t, x_1..,
+    v_1..) inside the box hull of the region Q, padded by one cell on every
+    side: integer arrays of shape Q's batch shape + (1 + 2d,)."""
     hull = Q.box_hull()
     spans = [(grid.t_nodes, hull.t_min - grid.dt, hull.t_max + grid.dt)]
-    spans += [(grid.x_axis[k], hull.x_center[k] - hull.rx - grid.dx,
-               hull.x_center[k] + hull.rx + grid.dx) for k in range(grid.d)]
-    spans += [(grid.v_axis[k], hull.v_center[k] - hull.rv - grid.dv,
-               hull.v_center[k] + hull.rv + grid.dv) for k in range(grid.d)]
-    return tuple(slice(*np.searchsorted(ax, [lo, hi])) for ax, lo, hi in spans)
+    spans += [(grid.x_axis[k], hull.x_center[..., k] - hull.rx - grid.dx,
+               hull.x_center[..., k] + hull.rx + grid.dx) for k in range(grid.d)]
+    spans += [(grid.v_axis[k], hull.v_center[..., k] - hull.rv - grid.dv,
+               hull.v_center[..., k] + hull.rv + grid.dv) for k in range(grid.d)]
+    lo = np.stack([np.searchsorted(ax, a) for ax, a, _ in spans], axis=-1)
+    hi = np.stack([np.searchsorted(ax, b) for ax, _, b in spans], axis=-1)
+    return lo, hi
 
 
-def _window_membership(grid: Grid, Q: Cylinder):
-    """(window, Q.contains on the window's cell centers); no cell center
-    outside the window lies in Q."""
-    win = _index_window(grid, Q)
-    T, X, V = grid.open_coords
+def _window_membership(grid: Grid, Q):
+    """(window, Q.contains on the window's cell centers) for a cylinder or
+    stacked cylinder Q; no cell center outside the window lies in Q.
+
+    For one region the window is a tuple of slices of the grid.  For a
+    batch of B regions it is None, and the membership has shape (window
+    shape) + (B,): each region's window is padded to the longest one along
+    every axis, and the padding reads False.
+    """
+    lo, hi = _index_window(grid, Q)
+    axes = (grid.t_nodes, *grid.x_axis, *grid.v_axis)
+    batch = lo.shape[:-1]
+    width = (hi - lo).reshape(-1, len(axes)).max(axis=0, initial=0)
+    coords, valid = [], True
+    for a, ax in enumerate(axes):
+        shape = tuple(w if b == a else 1 for b, w in enumerate(width)) + batch
+        idx = lo[..., a] + np.arange(width[a]).reshape((-1,) + (1,) * len(batch))
+        coords.append(ax[np.minimum(idx, ax.size - 1)].reshape(shape))
+        valid = valid & (idx < hi[..., a]).reshape(shape)
     v0 = 1 + grid.d  # the first v axis
-    return win, Q.contains(T[win[:1]], X[(slice(None),) + win[1:v0]],
-                           V[(slice(None),) * v0 + win[v0:]])
+    X, V = (np.stack(np.broadcast_arrays(*c), axis=-1)
+            for c in (coords[1:v0], coords[v0:]))
+    inside = Q.contains(coords[0], X, V) & valid
+    return (None if batch else tuple(map(slice, lo, hi))), inside
 
 
 def _cell_counts(E: DiscreteSet, Q: Cylinder):
@@ -317,8 +338,8 @@ def verify_inkspots(
                 f"dense cylinder of radius {Q.r} >= r0 = {r0} at "
                 f"(t={Q.center.t:.4f}, x={Q.center.x}, v={Q.center.v})"
             )
-        bar = E.grid.region_mask(Q.stacked(m))
-        if np.any(bar & ~F.mask):
+        win, bar = _window_membership(E.grid, Q.stacked(m))
+        if np.any(bar & ~F.mask[win]):
             raise InkspotsHypothesisError(
                 f"stacked extension of the dense cylinder at "
                 f"(t={Q.center.t:.4f}, x={Q.center.x}, v={Q.center.v}) "
@@ -357,9 +378,11 @@ def generate_hypothesis_pair(
 ) -> tuple[DiscreteSet, DiscreteSet]:
     """Deterministic (E, F) pair satisfying the covering hypotheses.
 
-    E is a union of k cylinders of radius < r0/2 inside Q_-, intersected
-    with a synthetic level set; F is the union of their stacked extensions
-    together with E.  A final rejection sweep removes E-cells of any
+    E is a union of up to k cylinders of radius < r0/2 inside Q_-,
+    intersected with a synthetic level set; F is the union of their stacked
+    extensions together with E.  All 50 k candidate cylinders are drawn at
+    once, and the first k of them in draw order that lie in Q_- and hold a
+    cell center are placed.  A final rejection sweep removes E-cells of any
     accidentally dense cylinder with radius >= r0, so the hypotheses hold
     by construction on the discrete grid.
     """
@@ -379,26 +402,24 @@ def generate_hypothesis_pair(
         w = w + np.cos(2.0 * rng.uniform(0.5, 2.0) * X[..., kk]) \
               + np.sin(4.0 * rng.uniform(0.5, 2.0) * V[..., kk])
     level = w >= np.quantile(w, 0.35)
-    placed = 0
-    attempts = 0
-    while placed < k and attempts < 50 * max(k, 1):
-        attempts += 1
-        r = float(rng.uniform(0.5, 1.0) * r0 / 2.0)
-        z0 = PhasePoint(
-            float(rng.uniform(-1.0 + r**2, 0.0)),
-            rng.uniform(-0.5, 0.5, size=d),
-            rng.uniform(-0.9 + r, 0.9 - r, size=d),
-        )
-        Q = Cylinder(z0, r)
-        if not cylinder_in_cylinder(Q, region):
-            continue
+    # candidate i is drawn as rng.uniform calls for r, t0, x0 (d), v0 (d)
+    u = rng.random((50 * k, 2 + 2 * d))
+    r = uniform_from(u[:, 0], 0.5, 1.0) * r0 / 2.0
+    rc = r[:, None]
+    candidates = Cylinder(PhasePoint(
+        uniform_from(u[:, 1], -1.0 + radius_power(r, 2), 0.0),
+        uniform_from(u[:, 2:2 + d], -0.5, 0.5),
+        uniform_from(u[:, 2 + d:], -0.9 + rc, 0.9 - rc)), r)
+    _, padded = _window_membership(grid, candidates)
+    hits = (cylinder_in_cylinder(candidates, region)
+            & np.any(padded, axis=tuple(range(padded.ndim - 1))))
+    for i in np.flatnonzero(hits)[:k]:
+        Q = candidates[i]
         win, inside = _window_membership(grid, Q)
-        if not inside.any():
-            continue
         e_mask[win] |= inside & level[win]
-        f_mask |= grid.region_mask(Q.stacked(m))
         f_mask[win] |= inside
-        placed += 1
+        win, bar = _window_membership(grid, Q.stacked(m))
+        f_mask[win] |= bar
     e_mask &= grid.region_mask(region)
     f_mask |= e_mask
     E = DiscreteSet(grid, e_mask, region)
@@ -421,7 +442,8 @@ def generate_hypothesis_pair(
     small_radii = [r for r in all_radii if r < r0]
     if small_radii and e_mask.any():
         for Q in find_dense_cylinders(E, 0.999, small_radii):
-            f_mask |= grid.region_mask(Q.stacked(m))
+            win, bar = _window_membership(grid, Q.stacked(m))
+            f_mask[win] |= bar
     f_mask |= e_mask
     return E, DiscreteSet(grid, f_mask, region)
 

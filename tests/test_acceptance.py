@@ -10,13 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import stacking_bases
 from kinfp.fields import BoxCylinder, CoefficientField, Grid, ScalarField, make_coefficients
 from kinfp.fpsolver import SolverConfig, solve
 from kinfp.geometry import (
     Cylinder,
     PhasePoint,
     check_stacking,
-    cylinder_in_box,
     cylinder_in_cylinder,
     group_inverse,
     group_product,
@@ -86,19 +86,12 @@ def test_criterion_01_group_exactness():
 def test_criterion_02_stacking_suite():
     rng = np.random.default_rng(2)
     omega = 1e-2
-    checked = failures = 0
-    while checked < 10_000:
-        r = float(rng.uniform(1e-4, 4e-3))
-        z0 = PhasePoint(
-            float(rng.uniform(-1 + r**2, -1 + omega**2)),
-            rng.uniform(-omega**3 / 4, omega**3 / 4, 1),
-            rng.uniform(-(omega - r) / 2, (omega - r) / 2, 1),
-        )
-        if not cylinder_in_box(Cylinder(z0, r), q_minus(omega, 1)):
-            continue
-        results = check_stacking(stack_cylinders(z0, r, omega))
-        failures += not all(results.values())
-        checked += 1
+    # the first 10^4 bases inside Q_- of a stream that draws r, t0, x0 and
+    # v0 per base with rng.uniform, stacked as one batch
+    bases = stacking_bases(rng, 10_000, 1, omega)
+    results = check_stacking(stack_cylinders(bases.center, bases.r, omega))
+    checked = len(bases.r)
+    failures = int(np.count_nonzero(~np.all(list(results.values()), axis=0)))
     report("02 stacking suite", failures == 0,
            f"{checked} random bases at omega=1e-2, {failures} failures")
 

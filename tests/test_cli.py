@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -137,6 +138,28 @@ class TestRun:
             assert rec["degenerate"] == (expected is None)
             assert row.split(",")[4] == (
                 "" if expected is None else repr(float(expected)))
+
+
+class TestRecordedOutputs:
+    """summary.csv is promised byte-identical: sha256 prefixes recorded
+    before the stacking check and the ink-spots placement were batched."""
+
+    @pytest.mark.parametrize("kind, d, count, seed, digest", [
+        ("all", 1, None, 0, "a8dc87aa6560e3f6"),
+        ("all", 1, None, 1, "5fa45da3adec252f"),
+        ("geometry-check", 2, None, 0, "1402e3bf4d87b5ee"),
+        ("inkspots", 2, None, 0, "2c8e0deddd392cf4"),
+        # one row: a d = 2 pop-large-times row samples 5.3M-cell local grids
+        ("pop-large-times", 2, 1, 0, "96d921062295ca30"),
+    ])
+    def test_summary_digest(self, tmp_path, kind, d, count, seed, digest):
+        params = "" if count is None else f"[params]\ncount = {count}\n"
+        path = write_config(
+            tmp_path, f"[experiment]\nkind = {kind}\n[grid]\nd = {d}\n{params}")
+        out = tmp_path / "out"
+        assert cli.run(path, seed=seed, out=str(out)) == 0
+        summary = (out / "summary.csv").read_bytes()
+        assert hashlib.sha256(summary).hexdigest()[:16] == digest
 
 
 def small_config(kind, d=1, count=1):

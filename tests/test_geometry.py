@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stacking_bases
 from kinfp.geometry import (
     BoxCylinder,
     Cylinder,
@@ -16,8 +18,9 @@ from kinfp.geometry import (
     group_inverse,
     group_product,
     origin,
+    _unit_coords,
     pop_parameters,
-    q_minus,
+    radius_power,
     scale,
     stack_cylinders,
 )
@@ -150,6 +153,16 @@ def bits(z):
     return (np.float64(z.t).tobytes(), z.x.tobytes(), z.v.tobytes())
 
 
+def u64(*values):
+    """The float64 bit patterns of the values, concatenated."""
+    return np.concatenate([np.asarray(a, dtype=float).ravel().view(np.uint64)
+                           for a in values])
+
+
+def hull_values(box):
+    return (box.t_min, box.t_max, box.x_center, box.rx, box.v_center, box.rv)
+
+
 def as_batch(points):
     return PhasePoint(np.array([p.t for p in points]),
                       np.stack([p.x for p in points]),
@@ -196,6 +209,43 @@ class TestBatches:
         ]
         for got, want in cases:
             assert got.tolist() == want
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batch_values_match_scalar_bitwise(self, d):
+        """Not only the booleans: the normalised coordinates, the radius
+        powers the inclusion margins are built from, and the box hulls of a
+        batch equal the scalar calls bit for bit."""
+        rng = np.random.default_rng(d)
+        n = 2000
+
+        def points():
+            return PhasePoint(rng.uniform(-1, 1, n), rng.uniform(-1, 1, (n, d)),
+                              rng.uniform(-1, 1, (n, d)))
+
+        centers, probes = points(), points()
+        r = rng.uniform(1e-3, 1.0, n)
+        batch = Cylinder(centers, r)
+        got = u64(*_unit_coords(batch, probes.t, probes.x, probes.v),
+                  *(radius_power(r, e) for e in (2, 3, 0.5)),
+                  *hull_values(batch.box_hull()),
+                  *hull_values(batch.stacked(3).box_hull()))
+        parts = [[] for _ in range(3 + 3 + 12)]
+        for i in range(n):
+            Q = Cylinder(centers[i], float(r[i]))
+            values = (*_unit_coords(Q, probes.t[i], probes.x[i], probes.v[i]),
+                      *(float(r[i]) ** e for e in (2, 3, 0.5)),
+                      *hull_values(Q.box_hull()),
+                      *hull_values(Q.stacked(3).box_hull()))
+            for part, value in zip(parts, values):
+                part.append(value)
+        assert np.array_equal(got, u64(*map(np.array, parts)))
+        # the inclusion predicates on the boundary: each cylinder against
+        # its own box hull, and against the cylinder Q_r(z0) itself
+        assert cylinder_in_box(batch, batch.box_hull()).tolist() == [
+            cylinder_in_box(batch[i], batch[i].box_hull()) for i in range(n)]
+        same = Cylinder(centers, float(r[0]))
+        assert cylinder_in_cylinder(batch, same).tolist() == [
+            cylinder_in_cylinder(batch[i], same[i]) for i in range(n)]
 
 
 class TestCylinder:
@@ -258,9 +308,32 @@ class TestStacking:
         assert 2**seq.N * r == pytest.approx(0.64)
         assert 2**seq.N * r >= 1 / (2 * math.sqrt(2))
 
+    def test_checks_the_fields_of_a_single_sequence(self):
+        omega = 1e-2
+        seq = stack_cylinders(pt(-1 + omega**2, 0, 0), omega / 2, omega)
+        assert all(check_stacking(seq).values())
+        moved = replace(seq, predecessor=Cylinder(
+            group_product(seq.predecessor.center, pt(0, 0, 0.5)),
+            seq.predecessor.r))
+        assert check_stacking(moved) == {**check_stacking(seq),
+                                         "predecessor_inside": False}
+        # Q[1] pushed out of (-1, 0] x B_2 x B_2
+        first = seq.cylinders[0]
+        pushed = replace(seq, cylinders=[
+            Cylinder(group_product(first.center, pt(0, 3.0, 0)), first.r),
+            *seq.cylinders[1:]])
+        assert check_stacking(pushed) == {**check_stacking(seq),
+                                          "union_in_envelope": False}
+
     def test_rejects_base_outside(self):
         with pytest.raises(ValueError):
             stack_cylinders(pt(-0.5, 0, 0), 1e-3, 1e-2)
+        # a batch with one base outside Q_- is rejected as a whole
+        bases = PhasePoint(np.array([-1 + 5e-5, -0.5]), np.zeros((2, 1)),
+                           np.zeros((2, 1)))
+        stack_cylinders(bases[:1], np.array([1e-3]), 1e-2)
+        with pytest.raises(ValueError):
+            stack_cylinders(bases, np.array([1e-3, 1e-3]), 1e-2)
 
     def test_rejects_large_omega(self):
         with pytest.raises(ValueError):
@@ -268,22 +341,33 @@ class TestStacking:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_randomized_conclusions(self, d):
-        rng = np.random.default_rng(0)
         omega = 1e-2
-        checked = 0
-        while checked < 300:
-            r = float(rng.uniform(1e-4, 4e-3))
-            z0 = PhasePoint(
-                float(rng.uniform(-1 + r**2, -1 + omega**2)),
-                rng.uniform(-omega**3 / 4, omega**3 / 4, size=d),
-                rng.uniform(-(omega - r) / 2, (omega - r) / 2, size=d),
-            )
-            if not cylinder_in_box(Cylinder(z0, r), q_minus(omega, d)):
-                continue
-            seq = stack_cylinders(z0, r, omega)
-            results = check_stacking(seq)
-            assert all(results.values()), (z0, r, results)
-            checked += 1
+        bases = stacking_bases(np.random.default_rng(0), 300, d, omega)
+        results = check_stacking(stack_cylinders(bases.center, bases.r, omega))
+        for key, ok in results.items():
+            assert ok.all(), (key, bases[~ok])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batch_matches_scalar_bitwise(self, d):
+        omega = 1e-2
+        bases = stacking_bases(np.random.default_rng(10 + d), 200, d, omega)
+        seq = stack_cylinders(bases.center, bases.r, omega)
+        results = check_stacking(seq)
+        # both branches of the re-centering of Q[N+1]
+        assert (seq.R >= seq.rho).any() and (seq.R < seq.rho).any()
+        for i in range(len(bases.r)):
+            one = stack_cylinders(bases.center[i], float(bases.r[i]), omega)
+            n = one.N
+            assert isinstance(n, int) and seq.N[i] == n
+            assert np.array_equal(u64(seq.T[i, :n + 1], seq.R[i], seq.R_last[i]),
+                                  u64(one.T, one.R, one.R_last))
+            batch = ([seq.cylinders[i, k] for k in range(n)]
+                     + [seq.last[i], seq.predecessor[i]])
+            for a, b in zip(batch, one.cylinders + [one.predecessor],
+                            strict=True):
+                assert np.array_equal(u64(*a.center, a.r), u64(*b.center, b.r))
+            assert check_stacking(one) == {key: bool(ok[i])
+                                           for key, ok in results.items()}
 
 
 class TestInclusionPredicates:

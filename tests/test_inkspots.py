@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -142,18 +144,33 @@ class TestFindDenseCylinders:
         assert np.array_equal(n_q, ref_q) and np.array_equal(n_e, ref_e)
 
     def test_window_membership_matches_full_grid(self):
+        # cylinders (m = None) and stacks over them, some reaching past the
+        # grid's edges; one by one and as one batch of padded windows
         g = standard_grid((20, 12, 10), t_max=0.3)
         T, X, V = g.coords
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            z0 = PhasePoint(float(rng.uniform(-1.2, 0.5)),
-                            rng.uniform(-2.5, 2.5, size=1),
-                            rng.uniform(-1.2, 1.2, size=1))
-            Q = Cylinder(z0, float(rng.choice([1.0, 0.75, 0.5, 0.3, 0.1])))
-            full = Q.contains(T, X, V)
-            win, inside = _window_membership(g, Q)
-            assert np.array_equal(full[win], inside)
-            assert np.count_nonzero(inside) == np.count_nonzero(full)
+        n = 200
+        t, x, v, r = [], [], [], []
+        for _ in range(n):  # one cylinder at a time: t0, x0, v0, r
+            t.append(float(rng.uniform(-1.2, 0.5)))
+            x.append(rng.uniform(-2.5, 2.5, size=1))
+            v.append(rng.uniform(-1.2, 1.2, size=1))
+            r.append(float(rng.choice([1.0, 0.75, 0.5, 0.3, 0.1])))
+        Q = Cylinder(PhasePoint(np.array(t), np.array(x), np.array(v)),
+                     np.array(r))
+        for m in (None, 1, 3):
+            regions = Q if m is None else Q.stacked(m)
+            _, padded = _window_membership(g, regions)
+            for i in range(n):
+                region = Q[i] if m is None else Q[i].stacked(m)
+                full = region.contains(T, X, V)
+                win, inside = _window_membership(g, region)
+                assert np.array_equal(full[win], inside)
+                assert np.count_nonzero(inside) == np.count_nonzero(full)
+                window = tuple(slice(0, w) for w in inside.shape)
+                assert np.array_equal(padded[window + (i,)], inside)
+                assert (np.count_nonzero(padded[..., i])
+                        == np.count_nonzero(inside))
 
 
 class TestVerifyInkspots:
@@ -240,6 +257,31 @@ class TestGenerator:
         assert E.region_mask is E.region_mask
         T, X, V = E.grid.coords
         assert np.array_equal(E.region_mask, E.region.contains(T, X, V))
+
+    # sha256 prefixes of packbits(E) + packbits(F) at seeds 0-4, recorded
+    # before the candidate draws and the placement test were batched
+    @pytest.mark.parametrize("n, d, k, r0, digests", [
+        ((16, 24, 24), 1, 4, 0.3,
+         ["cfc335996cfae29f", "453c014b95ca6714", "4369bccd13c1d6ef",
+          "b7ddc8a960d455df", "c2263e912980bd02"]),
+        ((24, 24, 24), 1, 3, 0.3,
+         ["0ee0c7ac0933cd2c", "8b73d62b7d8ab59f", "372b461dbe818932",
+          "0ee0c7ac0933cd2c", "bb107dfcb5424b65"]),
+        ((72, 24, 24), 1, 3, 0.3,
+         ["3699e531aa7bc321", "ea299b4742c4101f", "8d177f3088663456",
+          "95640133156619b7", "ff40b2dd17df4d35"]),
+        ((6, 8, 6), 2, 3, 0.3, ["0ee0c7ac0933cd2c"] * 5),  # nothing placed
+        ((6, 12, 8), 2, 3, 0.9,
+         ["bcfdd6a23e9dd8bb", "9d89b922ed6c1dcc", "e4c530d91da8a88b",
+          "b3615b90a78d33d5", "dab915069c4d3f4c"]),
+    ])
+    def test_masks_match_recorded_digests(self, n, d, k, r0, digests):
+        got = []
+        for seed in range(5):
+            E, F = generate_hypothesis_pair(seed, k=k, m=3, r0=r0, n=n, d=d)
+            packed = np.packbits(E.mask).tobytes() + np.packbits(F.mask).tobytes()
+            got.append(hashlib.sha256(packed).hexdigest()[:16])
+        assert got == digests
 
     def test_rejects_bad_r0(self):
         with pytest.raises(ValueError):
