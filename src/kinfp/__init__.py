@@ -25,7 +25,6 @@ from .fields import (
     ScalarField,
     VectorField,
     h_minus1_norm,
-    level_set_measure,
     make_coefficients,
     norms,
 )
@@ -39,7 +38,6 @@ from .fpsolver import (
 )
 from .kolmogorov import (
     CutoffFunction,
-    KolmogorovKernel,
     build_cutoff,
     kernel_eval,
     localization_bound,

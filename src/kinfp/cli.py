@@ -11,9 +11,10 @@ inequality / covering experiments, and writes deterministic reports:
 * a log line per instance carrying the inequality's anchor string.
 
 Exit codes: 0 all gated checks pass, 1 some check failed (reports are
-still written), 2 config parse error, 3 hypothesis failure (named),
-4 numerical abort (non-finite values or a CFL violation), 5 any other
-error (a one-line reason is logged, the traceback at DEBUG level).
+still written), 2 config parse error or a report ``--replay`` cannot use,
+3 hypothesis failure (named), 4 numerical abort (non-finite values or a
+CFL violation), 5 any other error (a one-line reason is logged, the
+traceback at DEBUG level).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +52,12 @@ from .geometry import (
     uniform_from,
 )
 from .harness import (
+    N_LOCAL,
     HypothesisError,
     estimate_holder,
+    local_norms,
     make_kernel_mixture,
     normalize_by_infimum,
-    sample_on_box,
     verify_expansion_of_positivity,
     verify_harnack,
     verify_minima_measure,
@@ -87,16 +89,6 @@ EXPERIMENT_KINDS = [
     "inkspots",
     "all",
 ]
-
-_ALLOWED_KEYS = {
-    "experiment": {"kind", "seed", "out"},
-    "grid": {"d", "n_t", "n_x", "n_v"},
-    "coefficients": {"kind", "lam", "lambda_max", "cell_size"},
-    "params": {
-        "theta", "eta", "omega", "m", "p", "eps", "mu", "r0", "c", "big_c",
-        "count", "levels", "tolerance", "source_sup",
-    },
-}
 
 
 class ConfigError(ValueError):
@@ -140,6 +132,27 @@ _PARAM_DEFAULTS = {
     "source_sup": 0.0,
 }
 
+#: The config keys outside [params]: (section, key) -> ExperimentConfig
+#: field.  A key read from the file takes the type of the field's default.
+_CONFIG_FIELDS = {
+    ("experiment", "kind"): "kind",
+    ("experiment", "seed"): "seed",
+    ("experiment", "out"): "out",
+    ("grid", "d"): "d",
+    ("grid", "n_t"): "n_t",
+    ("grid", "n_x"): "n_x",
+    ("grid", "n_v"): "n_v",
+    ("coefficients", "kind"): "coeff_kind",
+    ("coefficients", "lam"): "lam",
+    ("coefficients", "lambda_max"): "lambda_max",
+    ("coefficients", "cell_size"): "cell_size",
+}
+
+_ALLOWED_KEYS = {
+    section: {k for s, k in _CONFIG_FIELDS if s == section}
+    for section, _ in _CONFIG_FIELDS
+} | {"params": set(_PARAM_DEFAULTS)}
+
 _PARAM_RANGES = {
     "theta": (0.0, 1.0),
     "eta": (0.0, 1.0),
@@ -171,30 +184,17 @@ def load_config(path: str) -> ExperimentConfig:
     kind = parser["experiment"]["kind"]
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind '{kind}'")
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)
+                if f.default is not MISSING}
     try:
-        cfg = ExperimentConfig(
-            kind=kind,
-            seed=parser.getint("experiment", "seed", fallback=0),
-            out=parser.get("experiment", "out", fallback="out"),
-            d=parser.getint("grid", "d", fallback=1),
-            n_t=parser.getint("grid", "n_t", fallback=16),
-            n_x=parser.getint("grid", "n_x", fallback=24),
-            n_v=parser.getint("grid", "n_v", fallback=24),
-            coeff_kind=parser.get("coefficients", "kind", fallback="constant"),
-            lam=parser.getfloat("coefficients", "lam", fallback=1.0),
-            lambda_max=parser.getfloat("coefficients", "lambda_max",
-                                       fallback=1.0),
-            cell_size=parser.getfloat("coefficients", "cell_size",
-                                      fallback=0.25),
-        )
+        values = {name: type(defaults[name])(parser[section][key])
+                  for (section, key), name in _CONFIG_FIELDS.items()
+                  if name in defaults and parser.has_option(section, key)}
         params = dict(_PARAM_DEFAULTS)
         if "params" in parser:
             for key in parser["params"]:
-                if key in ("m", "count", "levels"):
-                    params[key] = parser.getint("params", key)
-                else:
-                    params[key] = parser.getfloat("params", key)
-        cfg.params = params
+                params[key] = type(_PARAM_DEFAULTS[key])(parser["params"][key])
+        cfg = ExperimentConfig(kind=kind, params=params, **values)
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     for key, (lo, hi) in _PARAM_RANGES.items():
@@ -360,13 +360,11 @@ def _run_minima_measure(cfg: ExperimentConfig) -> list[dict]:
         seed = cfg.seed * 1013 + i
         f0, _ = make_kernel_mixture(seed, d=cfg.d, pole_time=(-8.0, -4.0))
         # normalize on the same local grid the verifier samples
-        n_local = (16, 24, 24)
-        f = normalize_by_infimum(f0, q_bar(m, cfg.d), n_local)
-        vals = sample_on_box(f, q_one(cfg.d), n_local).values
+        f = normalize_by_infimum(f0, q_bar(m, cfg.d), N_LOCAL)
+        vals = local_norms(f, q_one(cfg.d), N_LOCAL).values
         M = float(np.quantile(vals, 0.45))
         rows.append(_row("minima-measure", i, seed,
-                         verify_minima_measure(f, m, M, d=cfg.d,
-                                               n_local=n_local)))
+                         verify_minima_measure(f, m, M, d=cfg.d)))
     return rows
 
 
@@ -553,24 +551,39 @@ def replay(report_path: str) -> bool:
     """Re-derive every recorded constant from the stored config and seed.
 
     Returns True iff the rerun reproduces lhs, rhs and fitted_c
-    bit-identically.  Raises on package version mismatch.
+    bit-identically.  Raises RuntimeError with a one-line reason when the
+    report cannot be read, is not JSON, lacks its config or reports, or was
+    written by another package version.
     """
-    payload = json.loads(Path(report_path).read_text())
+    try:
+        payload = json.loads(Path(report_path).read_text())
+    except OSError as exc:
+        raise RuntimeError(f"cannot read report: {exc}") from None
+    except ValueError as exc:
+        raise RuntimeError(f"report is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise RuntimeError("report is not a JSON object")
     if payload.get("version") != __version__:
         raise RuntimeError(
             f"version mismatch: report {payload.get('version')}, "
             f"package {__version__}"
         )
-    c = payload["config"]
-    cfg = ExperimentConfig(
-        kind=c["kind"], seed=c["seed"], d=c["d"],
-        n_t=c["grid"][0], n_x=c["grid"][1], n_v=c["grid"][2],
-        coeff_kind=c["coefficients"]["kind"], lam=c["coefficients"]["lam"],
-        lambda_max=c["coefficients"]["lambda_max"],
-        cell_size=c["coefficients"]["cell_size"], params=dict(c["params"]),
-    )
+    try:
+        c = payload["config"]
+        old = payload["reports"]
+        cfg = ExperimentConfig(
+            kind=c["kind"], seed=c["seed"], d=c["d"],
+            n_t=c["grid"][0], n_x=c["grid"][1], n_v=c["grid"][2],
+            coeff_kind=c["coefficients"]["kind"],
+            lam=c["coefficients"]["lam"],
+            lambda_max=c["coefficients"]["lambda_max"],
+            cell_size=c["coefficients"]["cell_size"],
+            params=dict(c["params"]),
+        )
+    except (KeyError, IndexError, TypeError) as exc:
+        raise RuntimeError(
+            f"report lacks a valid config or reports: {exc!r}") from None
     rows = _run_kinds(cfg)
-    old = payload["reports"]
     if len(old) != len(rows):
         return False
     for a, b in zip(old, rows):

@@ -31,7 +31,6 @@ __all__ = [
     "VectorField",
     "CoefficientField",
     "NegSobolevInput",
-    "level_set_measure",
     "norms",
     "RegionNorms",
     "broadcast_coords",
@@ -230,12 +229,6 @@ class NegSobolevInput:
         return self.H0.grid
 
 
-def level_set_measure(f: ScalarField, predicate, region: Region | None = None) -> float:
-    """Sum of cell volumes whose center satisfies the predicate inside the region."""
-    n = norms(f, region)
-    return float(np.count_nonzero(predicate(n.values))) * n.cell_volume
-
-
 @dataclass(frozen=True)
 class RegionNorms:
     """Cell quadrature over a region: ``values`` holds the field at the cell
@@ -323,23 +316,21 @@ def _dirichlet_laplacian_1d(n: int, h: float) -> sp.csc_matrix:
 
 
 def _dirichlet_laplacian_ball_2d(v1: np.ndarray, v2: np.ndarray, h: float, center, radius):
-    """Masked 5-point -Laplacian on nodes inside the v-ball; outside is zero."""
+    """Masked 5-point -Laplacian on nodes inside the v-ball; outside is zero.
+
+    The 5-point stencil on the whole tensor grid is the Kronecker sum of
+    1-d second differences; rows and columns of the nodes inside the ball
+    are kept.
+    """
     V1, V2 = np.meshgrid(v1, v2, indexing="ij")
     inside = (V1 - center[0]) ** 2 + (V2 - center[1]) ** 2 < radius**2
-    idx = -np.ones(inside.shape, dtype=int)
-    idx[inside] = np.arange(inside.sum())
-    n = int(inside.sum())
-    rows, cols, vals = [], [], []
-    nb = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    ii, jj = np.nonzero(inside)
-    for i, j in zip(ii, jj):
-        k = idx[i, j]
-        rows.append(k), cols.append(k), vals.append(4.0)
-        for di, dj in nb:
-            a, b = i + di, j + dj
-            if 0 <= a < inside.shape[0] and 0 <= b < inside.shape[1] and inside[a, b]:
-                rows.append(k), cols.append(idx[a, b]), vals.append(-1.0)
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(n, n)) / h**2
+    n1, n2 = inside.shape
+    second = [sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+              for n in (n1, n2)]
+    stencil = (sp.kron(second[0], sp.identity(n2))
+               + sp.kron(sp.identity(n1), second[1])).tocsr()
+    keep = np.flatnonzero(inside)
+    A = sp.csc_matrix(stencil[keep][:, keep]) / h**2
     return A, inside
 
 

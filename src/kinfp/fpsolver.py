@@ -371,7 +371,7 @@ def solve(config: SolverConfig) -> ScalarField:
     dt, dv = g.dt, g.dv
     A, B, S = config.coeffs.A, config.coeffs.B, config.coeffs.S
     has_drift = config.coeffs.b_l1_max > 0.0  # B has no NaN (validated)
-    has_source = S is not None and bool(np.any(S != 0.0))
+    has_source = bool(np.any(S != 0.0))
 
     plan = _transport_plan(g, dt, config.bc_x, config.transport_interp)
     r = dt / dv**2
@@ -593,15 +593,16 @@ def local_bound_check(
 
         sup over q_int of f  <=  C (L2 norm of f_+ on q_ext + sup|S| on q_ext)
 
-    Requires q_int strictly inside q_ext in all three directions.  Returns
-    the fitted C = lhs / rhs; stability across refinements is the caller's
-    refinement study.
+    Requires q_int strictly inside q_ext in all three directions, with the
+    x and v balls compared as the Euclidean balls ``norms`` measures.
+    Returns the fitted C = lhs / rhs; stability across refinements is the
+    caller's refinement study.
     """
     gaps = (
         q_int.t_min > q_ext.t_min,
         q_int.t_max <= q_ext.t_max,
-        np.all(np.abs(q_int.x_center - q_ext.x_center) + q_int.rx < q_ext.rx),
-        np.all(np.abs(q_int.v_center - q_ext.v_center) + q_int.rv < q_ext.rv),
+        np.linalg.norm(q_int.x_center - q_ext.x_center) + q_int.rx < q_ext.rx,
+        np.linalg.norm(q_int.v_center - q_ext.v_center) + q_int.rv < q_ext.rv,
     )
     if not all(gaps):
         raise ValueError("q_int must sit strictly inside q_ext")

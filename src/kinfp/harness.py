@@ -61,6 +61,7 @@ __all__ = [
     "ExperimentEnsemble",
     "make_kernel_mixture",
     "as_evaluator",
+    "N_LOCAL",
     "sample_on_box",
     "local_norms",
     "normalize_by_infimum",
@@ -77,6 +78,11 @@ __all__ = [
 
 class HypothesisError(ValueError):
     """A named hypothesis of an inequality failed on the supplied field."""
+
+
+#: Nodes (n_t, n_x, n_v) of the local grid each verifier puts on a region;
+#: the x and v counts apply per dimension.
+N_LOCAL = (16, 24, 24)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +123,7 @@ def as_evaluator(f):
     raise TypeError(f"cannot evaluate object of type {type(f)!r}")
 
 
-def sample_on_box(f, box: BoxCylinder, n=(16, 16, 16)) -> ScalarField:
+def sample_on_box(f, box: BoxCylinder, n) -> ScalarField:
     """Sample an evaluator on a fresh local grid over the box."""
     grid = Grid(box, *n)
     return grid.sample(as_evaluator(f))
@@ -131,8 +137,7 @@ def _cylinder_grid(Q: Cylinder, n) -> Grid:
     return Grid(replace(hull, rx=hull.rx + 1e-15), *n)
 
 
-def local_norms(f, region: BoxCylinder | Cylinder,
-                n=(16, 16, 16)) -> RegionNorms:
+def local_norms(f, region: BoxCylinder | Cylinder, n) -> RegionNorms:
     """Quadrature of the evaluator f over a region on the region's own local
     grid of n nodes: the box itself, or a slanted cylinder's box hull with
     the nodes outside the cylinder dropped.  A cylinder that holds no node
@@ -283,7 +288,7 @@ def _poincare_rhs(f: ScalarField, H: NegSobolevInput) -> float:
     return math.sqrt(norms(grad_v_sq(f), ext).integral) + h_minus1_norm(H, ext)
 
 
-def _check_transport_control(f: ScalarField, H: NegSobolevInput):
+def _require_transport_control(f: ScalarField, H: NegSobolevInput):
     """Weak check of (d/dt + v.grad_x) f <= H against a few bumps, to the
     first-order tolerance."""
     g = f.grid
@@ -315,7 +320,6 @@ def verify_weak_poincare(
     H: NegSobolevInput,
     eta: float,
     alpha0: float = 0.25,
-    check_transport: bool = True,
 ) -> VerificationReport:
     """Mean-value gain from a vanishing set:
 
@@ -337,8 +341,7 @@ def verify_weak_poincare(
         raise HypothesisError(
             f"zero-set measure below {alpha0}: fraction {zero_frac:.3f}"
         )
-    if check_transport:
-        _check_transport_control(f, H)
+    _require_transport_control(f, H)
 
     pars = theta0_parameters(eta, d)
     q1 = norms(f, q_one(d))
@@ -361,7 +364,6 @@ def verify_local_poincare(
     H: NegSobolevInput,
     cutoff: CutoffFunction,
     a: float = 0.25,
-    check_transport: bool = True,
 ) -> VerificationReport:
     """Gain against the localized evolution h = solve of L_K h = f L_K Psi:
 
@@ -374,8 +376,7 @@ def verify_local_poincare(
     g = f.grid
     if np.any(f.values < 0.0):
         raise HypothesisError("local Poincare requires f >= 0")
-    if check_transport:
-        _check_transport_control(f, H)
+    _require_transport_control(f, H)
     psi = cutoff.evaluate(*g.open_coords)
     h = solve_cauchy(ScalarField(g, f.values * psi.lk), boundary_tol=1.0)
     gain = ScalarField(g, f.values - h.values)
@@ -405,7 +406,7 @@ def verify_expansion_of_positivity(
     eta0: float = 1e-2,
     source_sup: float = 0.0,
     d: int = 1,
-    n_local=(16, 24, 24),
+    n_local=N_LOCAL,
 ) -> VerificationReport:
     """Measure-positivity in the past implies pointwise positivity now:
 
@@ -449,9 +450,8 @@ def verify_minima_measure(
     f,
     m: int,
     M: float,
-    ell0_empirical: float | None = None,
     d: int = 1,
-    n_local=(16, 24, 24),
+    n_local=N_LOCAL,
 ) -> VerificationReport:
     """Large values on half of Q_1 force f >= 1 on the stacked cylinder:
 
@@ -468,13 +468,11 @@ def verify_minima_measure(
             f"minima-measure hypothesis fails: fraction {frac:.3f} < 0.5"
         )
     inf_bar = local_norms(f, q_bar(m, d), n_local).inf
-    m_formula = None if ell0_empirical in (None, 0.0) else 1.0 / ell0_empirical
     return VerificationReport(
         inequality="minima-measure",
         lhs=inf_bar,
         rhs=1.0,
-        params={"m": m, "theta": theta, "M": M,
-                "value_fraction": frac, "M_formula": m_formula},
+        params={"m": m, "theta": theta, "M": M, "value_fraction": frac},
         passed=inf_bar >= 1.0 - 1e-12,
     )
 
@@ -486,7 +484,7 @@ def verify_pop_large_times(
     A: float,
     omega: float = 1e-2,
     ell0: float = 0.25,
-    n_local=(16, 24, 24),
+    n_local=N_LOCAL,
 ) -> VerificationReport:
     """Positivity on a small past cylinder propagates to Q_+:
 
@@ -539,6 +537,16 @@ def _source_reduced(f, source_sup: float, frame: PhasePoint | None = None):
     return reduced
 
 
+def _domain_gate(R0: float, omega: float, m: int) -> None:
+    """The weak Harnack domain gates R0 >= 18 R_{1/2} and
+    R0 >= 9 R_{m^{-1/2}} m^{3/2} omega^3, with both localization radii
+    realized as 1 in this implementation."""
+    if R0 < 18.0:
+        raise HypothesisError(f"domain gate fails: R0 = {R0} < 18")
+    if R0 < 9.0 * m**1.5 * omega**3:
+        raise HypothesisError("domain gate fails: R0 too small for omega, m")
+
+
 def verify_weak_harnack(
     f,
     p: float = 1.0,
@@ -548,7 +556,7 @@ def verify_weak_harnack(
     m: int = 3,
     d: int = 1,
     frame: PhasePoint | None = None,
-    n_local=(16, 24, 24),
+    n_local=N_LOCAL,
     refine: int = 0,
 ) -> VerificationReport:
     """Past Lp average controlled by the future infimum:
@@ -556,20 +564,13 @@ def verify_weak_harnack(
         ( int over Q_- of f^p )^{1/p} <= C ( inf over Q_+ of f + sup|S| ).
 
     The source reduction replaces f by f + sup|S| * t before both sides are
-    measured.  Domain gates: R0 >= 18 R_{1/2} and
-    R0 >= 9 R_{m^{-1/2}} m^{3/2} omega^3, with both localization radii
-    realized as 1 in this implementation.  ``frame`` reruns the whole
-    computation in a transported frame (the group action preserves
-    measure, so the ratio is invariant up to quadrature error).
+    measured.  The domain gates are those of ``_domain_gate``.  ``frame``
+    reruns the whole computation in a transported frame (the group action
+    preserves measure, so the ratio is invariant up to quadrature error).
     """
     if p <= 0.0:
         raise ValueError("p must be positive")
-    r_half = 1.0
-    r_theta = 1.0
-    if R0 < 18.0 * r_half:
-        raise HypothesisError(f"domain gate fails: R0 = {R0} < 18")
-    if R0 < 9.0 * r_theta * m**1.5 * omega**3:
-        raise HypothesisError("domain gate fails: R0 too small for omega, m")
+    _domain_gate(R0, omega, m)
     reduced = _source_reduced(f, source_sup, frame)
     qm = q_minus(omega, d)
     qp = q_plus(omega, d).box_hull()
@@ -605,30 +606,30 @@ def verify_harnack(
     source_sup: float = 0.0,
     R0: float = 18.0,
     d: int = 1,
-    n_local=(16, 24, 24),
+    n_local=N_LOCAL,
 ) -> VerificationReport:
     """Full Harnack: sup over Q_- controlled by inf over Q_+ (plus source).
 
     Composes the interior upper bound (sup over Q_- against the L2 mass of
-    an enlarged past cylinder) with the weak Harnack inequality at p = 2;
-    the two fitted constants are recorded in the details and the headline
-    numbers are the direct sup / inf pair.
+    an enlarged past cylinder) with the weak Harnack inequality at p = 2
+    and m = 3, whose gates it shares; the two fitted constants are recorded
+    in the details and the headline numbers are the direct sup / inf pair.
+    Q_- and the hull of Q_+ are each measured once, for both.
     """
-    if R0 < 18.0:
-        raise HypothesisError(f"domain gate fails: R0 = {R0} < 18")
+    _domain_gate(R0, omega, 3)
     reduced = _source_reduced(f, source_sup)
-    sup_minus = local_norms(reduced, q_minus(omega, d), n_local).sup
-    inf_plus = local_norms(reduced, q_plus(omega, d).box_hull(), n_local).inf
-    lhs = sup_minus
-    rhs = inf_plus + source_sup
     enlarged = BoxCylinder(
         -1.0 - 3.0 * omega**2, -1.0 + 2.0 * omega**2,
         np.zeros(d), 2.0 * omega**3, np.zeros(d), 2.0 * omega,
     )
     l2_mass = local_norms(reduced, enlarged, n_local).lp(2.0)
-    c_local = sup_minus / l2_mass if l2_mass > 0 else None
-    wk = verify_weak_harnack(f, p=2.0, omega=omega, source_sup=source_sup,
-                             R0=R0, d=d, n_local=n_local)
+    inf_plus = local_norms(reduced, q_plus(omega, d).box_hull(), n_local).inf
+    # Q_- last, so that its values are the only local grid kept alive
+    minus = local_norms(reduced, q_minus(omega, d), n_local)
+    lhs = minus.sup
+    rhs = inf_plus + source_sup
+    c_local = lhs / l2_mass if l2_mass > 0 else None
+    weak_c = minus.lp(2.0) / rhs if rhs > 0 else None
     return VerificationReport(
         inequality="harnack",
         lhs=lhs,
@@ -636,7 +637,7 @@ def verify_harnack(
         params={"omega": omega, "source_sup": source_sup, "R0": R0},
         passed=np.isfinite(lhs) and rhs > 0.0,
         details={"local_bound_fitted": c_local,
-                 "weak_harnack_fitted": wk.fitted_c},
+                 "weak_harnack_fitted": weak_c},
     )
 
 
@@ -646,7 +647,7 @@ def estimate_holder(
     rbar: float = 2.0,
     r_base: float = 1.0,
     d: int = 1,
-    n_local=(16, 24, 24),
+    n_local=N_LOCAL,
 ) -> dict:
     """Oscillation decay over nested kinetic cylinders.
 

@@ -27,17 +27,9 @@ import numpy as np
 
 from .fields import BoxCylinder, CoefficientField, Grid, ScalarField, norms
 from .fpsolver import SolverConfig, solve
-from .geometry import (
-    PhasePoint,
-    ball_volume,
-    group_inverse,
-    group_product,
-    q_one,
-    q_zero,
-)
+from .geometry import PhasePoint, ball_volume, q_one, q_zero
 
 __all__ = [
-    "KolmogorovKernel",
     "kernel_eval",
     "log_kernel_eval",
     "InsufficientPaddingError",
@@ -80,31 +72,6 @@ def log_kernel_eval(t, x, v, z0: PhasePoint):
 def kernel_eval(t, x, v, z0: PhasePoint):
     """Fundamental solution of L_K with pole at z0, evaluated at (t, x, v)."""
     return np.exp(log_kernel_eval(t, x, v, z0))
-
-
-@dataclass(frozen=True)
-class KolmogorovKernel:
-    """Fundamental solution viewed as a function of the observation point.
-
-    Left-invariance holds exactly: evaluating at z0 o w equals evaluating
-    the origin-pole kernel at w, because the group product transports the
-    pole along the free-transport flow.
-    """
-
-    pole: PhasePoint
-
-    def __call__(self, t, x, v):
-        return kernel_eval(t, x, v, self.pole)
-
-    def log(self, t, x, v):
-        return log_kernel_eval(t, x, v, self.pole)
-
-    def at_point(self, z: PhasePoint) -> float:
-        return float(kernel_eval(z.t, z.x[None, :], z.v[None, :], self.pole)[0])
-
-    def shifted_argument(self, z: PhasePoint) -> PhasePoint:
-        """z0^{-1} o z, the argument of the origin-pole kernel."""
-        return group_product(group_inverse(self.pole), z)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +319,11 @@ def build_cutoff(eta: float, T: float, R: float) -> CutoffFunction:
 _POLE_BLOCK = 1 << 15  # (pole, sample) pairs per log_kernel_eval call
 
 
-def _log_kernel_min(eta: float, T: float, d: int, n: int = 5) -> float:
+def _log_kernel_min(eta: float, T: float, d: int) -> float:
     """Min over Q_1 x (Q_zero with t0 <= -1 - T) of the log kernel.
 
-    Both regions are sampled on small tensor grids including their corners.
+    Both regions are sampled on tensor grids of 5 nodes per axis, corners
+    included.
     The true minimum is astronomically small for moderate eta (the
     quadratic form scales like 1 / s^3 near the minimal elapsed time), so
     only the log is meaningful in double precision.  The poles are
@@ -363,6 +331,7 @@ def _log_kernel_min(eta: float, T: float, d: int, n: int = 5) -> float:
     (one pole at least): d = 2 has 5^5 poles by 5^5 samples, and one
     10^7-point block would be large and slower than cache-sized ones.
     """
+    n = 5
     lin = np.linspace(-1.0, 1.0, n)
     t1 = np.linspace(-1.0 + 1e-9, 0.0, n)
     x1 = lin  # Q_1 box coordinates, radius 1

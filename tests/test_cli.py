@@ -49,6 +49,46 @@ class TestConfigParsing:
         assert cfg.kind == "weak-harnack" and cfg.seed == 5
         assert cfg.params["omega"] == 1e-2
 
+    def test_allowed_keys(self):
+        assert cli._ALLOWED_KEYS == {
+            "experiment": {"kind", "seed", "out"},
+            "grid": {"d", "n_t", "n_x", "n_v"},
+            "coefficients": {"kind", "lam", "lambda_max", "cell_size"},
+            "params": {
+                "theta", "eta", "omega", "m", "p", "eps", "mu", "r0", "c",
+                "big_c", "count", "levels", "tolerance", "source_sup",
+            },
+        }
+
+    def test_every_key_read_with_its_type(self, tmp_path):
+        path = write_config(tmp_path, (
+            "[experiment]\nkind = solve\nseed = 3\nout = elsewhere\n"
+            "[grid]\nd = 2\nn_t = 5\nn_x = 6\nn_v = 7\n"
+            "[coefficients]\nkind = random\nlam = 2\nlambda_max = 3\n"
+            "cell_size = 0.5\n"
+            "[params]\nm = 4\ncount = 2\nlevels = 3\neta = 1\n"))
+        cfg = cli.load_config(path)
+        assert cfg == cli.ExperimentConfig(
+            kind="solve", seed=3, out="elsewhere", d=2, n_t=5, n_x=6, n_v=7,
+            coeff_kind="random", lam=2.0, lambda_max=3.0, cell_size=0.5,
+            params=dict(cli._PARAM_DEFAULTS, m=4, count=2, levels=3,
+                        eta=1.0))
+        for name in ("seed", "d", "n_t", "n_x", "n_v"):
+            assert type(getattr(cfg, name)) is int
+        for name in ("lam", "lambda_max", "cell_size"):
+            assert type(getattr(cfg, name)) is float
+        assert [k for k, v in cfg.params.items() if type(v) is int] == [
+            "m", "count", "levels"]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("grid", "n_x", "2.5"), ("coefficients", "lam", "big"),
+        ("params", "count", "1.0"), ("params", "eta", "half")])
+    def test_bad_value_is_a_config_error(self, tmp_path, section, key, value):
+        path = write_config(tmp_path, "[experiment]\nkind = solve\n"
+                                      f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(cli.ConfigError, match="bad config value"):
+            cli.load_config(path)
+
 
 class TestRun:
     def test_weak_harnack_constant_row(self, tmp_path):
@@ -254,6 +294,25 @@ class TestReplay:
         payload["reports"][0]["lhs"] += 1e-9
         (out / "report.json").write_text(json.dumps(payload))
         assert cli.replay(str(out / "report.json")) is False
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "cannot read report"),
+        ("{", "report is not valid JSON"),
+        ('{"version": "0.1.0", "reports": []}',
+         "report lacks a valid config or reports: KeyError('config')"),
+        ('{"version": "0.1.0", "config": {}}',
+         "report lacks a valid config or reports: KeyError('reports')"),
+    ], ids=["missing", "malformed", "no-config", "no-reports"])
+    def test_unreadable_report_exits_2(self, tmp_path, caplog, content,
+                                       reason):
+        path = tmp_path / "report.json"
+        if content is not None:
+            path.write_text(content.replace("0.1.0", cli.__version__))
+        with caplog.at_level("ERROR", logger="kinfp"):
+            assert cli.main(["--replay", str(path)]) == 2
+        errors = [r.getMessage() for r in caplog.records]
+        assert len(errors) == 1 and errors[0].startswith(reason)
+        assert "\n" not in errors[0] and not caplog.records[0].exc_info
 
     def test_version_mismatch_raises(self, tmp_path):
         path = write_config(tmp_path, WEAK_HARNACK)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from kinfp import fields
 from kinfp.fields import (
     BoxCylinder,
     CoefficientField,
@@ -13,7 +15,6 @@ from kinfp.fields import (
     grad_v,
     grad_v_sq,
     h_minus1_norm,
-    level_set_measure,
     make_coefficients,
     norms,
 )
@@ -41,6 +42,13 @@ class TestGrid:
             unit_grid(n=(1, 4, 4))
 
 
+def volume_where(f, predicate, region=None):
+    """Volume of the cells of the region whose value satisfies the
+    predicate, through ``norms``."""
+    n = norms(f, region)
+    return np.count_nonzero(predicate(n.values)) * n.cell_volume
+
+
 class TestLevelSetMeasure:
     def test_zero_field_fills_region(self):
         eta = 0.5
@@ -48,21 +56,21 @@ class TestLevelSetMeasure:
         g = Grid(box, 32, 64, 16)
         f = ScalarField(g, np.zeros(g.shape))
         qz = q_zero(eta, 1)
-        measured = level_set_measure(f, lambda u: u == 0.0, qz)
+        measured = volume_where(f, lambda u: u == 0.0, qz)
         exact = eta**2 * 2 * eta**3 * 2 * eta
         assert measured == pytest.approx(exact, rel=0.25)
 
     def test_positive_field_has_no_zero_set(self):
         g = unit_grid()
         f = ScalarField(g, np.ones(g.shape))
-        assert level_set_measure(f, lambda u: u == 0.0) == 0.0
+        assert volume_where(f, lambda u: u == 0.0) == 0.0
 
     def test_half_split(self):
         g = unit_grid(n=(8, 64, 8))
         T, X, V = g.coords
         f = ScalarField(g, (X[..., 0] < 0).astype(float))
         region = g.domain
-        m = level_set_measure(f, lambda u: u == 1.0, region)
+        m = volume_where(f, lambda u: u == 1.0, region)
         assert m == pytest.approx(2.0, rel=0.05)
 
     def test_additive_and_monotone(self):
@@ -72,12 +80,12 @@ class TestLevelSetMeasure:
         left = BoxCylinder(-1.0, -0.5, np.zeros(1), 1.0, np.zeros(1), 1.0)
         right = BoxCylinder(-0.5, 0.0, np.zeros(1), 1.0, np.zeros(1), 1.0)
         pred = lambda u: u > 0
-        total = level_set_measure(f, pred, g.domain)
+        total = volume_where(f, pred, g.domain)
         assert total == pytest.approx(
-            level_set_measure(f, pred, left) + level_set_measure(f, pred, right),
+            volume_where(f, pred, left) + volume_where(f, pred, right),
             rel=1e-12,
         )
-        weaker = level_set_measure(f, lambda u: u > -0.5, g.domain)
+        weaker = volume_where(f, lambda u: u > -0.5, g.domain)
         assert weaker >= total
 
 
@@ -185,8 +193,6 @@ class TestRegionQuadrature:
             assert n.excess(level).lp(2.0) == pytest.approx(ref, rel=1e-12)
             count = int(np.sum(vals >= level))
             assert n.fraction(lambda u: u >= level) == count / vals.size
-            assert level_set_measure(f, lambda u: u >= level,
-                                     region) == count * cv
 
     def test_empty_region_rejected(self):
         f, _, _ = next(self.cases())
@@ -234,6 +240,54 @@ class TestHMinus1:
         a = h_minus1_norm(f)
         f3 = ScalarField(g, 3.0 * f.values)
         assert h_minus1_norm(f3) == pytest.approx(3.0 * a, rel=1e-10)
+
+    def test_ball_slice_closed_form_d2(self):
+        # -Lap u = 1 on the unit v-disk, u = 0 on its circle:
+        # u = (1 - |v|^2) / 4 and the slice energy |grad u|^2_L2 is pi / 8;
+        # the masked stencil puts the boundary on a staircase, so the
+        # error falls about like dv
+        energies = []
+        for nv in (16, 32, 64, 128):
+            g = unit_grid(n=(2, 2, nv), d=2)
+            total = h_minus1_norm(ScalarField(g, np.ones(g.shape)))
+            # slices aggregate in L2 over a (t, x) region of measure 4
+            energies.append(total**2 / 4.0)
+        errs = [abs(e - math.pi / 8) for e in energies]
+        assert all(b < a / 1.8 for a, b in zip(errs, errs[1:]))
+        assert energies[-1] == pytest.approx(math.pi / 8, rel=0.03)
+
+    @pytest.mark.parametrize("n, center, radius", [
+        (12, (0.0, 0.0), 1.0), (13, (0.3, -0.2), 0.9), (24, (0.0, 0.0), 1.0)])
+    def test_ball_laplacian_matches_node_loop(self, n, center, radius):
+        # reference: the 5-point stencil assembled one node at a time
+        v1 = center[0] - 1.0 + (np.arange(n) + 0.5) * 2.0 / n
+        v2 = center[1] - 1.0 + (np.arange(n) + 0.5) * 2.0 / n
+        h = 2.0 / n
+        A, inside = fields._dirichlet_laplacian_ball_2d(v1, v2, h, center,
+                                                        radius)
+        idx = -np.ones(inside.shape, dtype=int)
+        idx[inside] = np.arange(inside.sum())
+        rows, cols, vals = [], [], []
+        for i, j in zip(*np.nonzero(inside)):
+            rows.append(idx[i, j]), cols.append(idx[i, j]), vals.append(4.0)
+            for a, b in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if 0 <= a < n and 0 <= b < n and inside[a, b]:
+                    rows.append(idx[i, j]), cols.append(idx[a, b])
+                    vals.append(-1.0)
+        ref = sp.csc_matrix((vals, (rows, cols)), shape=A.shape) / h**2
+        assert A.format == "csc" and A.has_sorted_indices
+        for key in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, key), getattr(ref, key))
+
+    def test_recorded_value_d2(self):
+        # recorded before the ball Laplacian was built from Kronecker
+        # products; the matrix is the same, so the value is exact
+        g = unit_grid(n=(3, 4, 12), d=2)
+        rng = np.random.default_rng(5)
+        h0 = ScalarField(g, rng.standard_normal(g.shape))
+        h1 = VectorField(g, rng.standard_normal(g.shape + (2,)))
+        assert h_minus1_norm(h0) == 0.40131344212738196
+        assert h_minus1_norm(NegSobolevInput(h0, h1)) == 2.3416050291202044
 
     def test_pair_form_matches_raw_for_h1_zero(self):
         g = unit_grid(n=(4, 4, 24))

@@ -280,3 +280,15 @@ class TestLocalBound:
         f = ScalarField(g, np.zeros(g.shape))
         with pytest.raises(ValueError):
             local_bound_check(f, g.domain, g.domain)
+        # d = 2: each axis of the x-ball fits (0.6 + 0.2 < 1), the ball does
+        # not: (0.734, 0.734) lies in q_int and outside q_ext
+        q_ext = BoxCylinder(-1.0, 0.0, np.zeros(2), 1.0, np.zeros(2), 1.0)
+        g2 = Grid(q_ext, 4, 8, 8)
+        f2 = ScalarField(g2, np.ones(g2.shape))
+        q_int = BoxCylinder(-0.5, 0.0, np.full(2, 0.6), 0.2, np.zeros(2), 0.5)
+        assert q_int.contains(-0.25, np.full(2, 0.734), np.zeros(2))
+        assert not q_ext.contains(-0.25, np.full(2, 0.734), np.zeros(2))
+        with pytest.raises(ValueError):
+            local_bound_check(f2, q_int, q_ext)
+        inside = BoxCylinder(-0.5, 0.0, np.full(2, 0.3), 0.3, np.zeros(2), 0.5)
+        assert local_bound_check(f2, inside, q_ext).lhs == 1.0

@@ -13,6 +13,7 @@ from kinfp import harness
 from kinfp.fpsolver import Bump, SolverConfig, default_test_set, solve, weak_residual
 from kinfp.geometry import Cylinder, PhasePoint, pop_parameters, q_bar, q_one, q_pos
 from kinfp.harness import (
+    N_LOCAL,
     ExperimentEnsemble,
     HypothesisError,
     as_evaluator,
@@ -172,7 +173,7 @@ class TestPositivityChain:
     def test_expansion_of_positivity(self):
         theta = 0.5
         f0, _ = make_kernel_mixture(5, n_terms=2)
-        f = normalize_by_infimum(f0, q_pos(theta, 1), (16, 24, 24))
+        f = normalize_by_infimum(f0, q_pos(theta, 1), N_LOCAL)
         rep = verify_expansion_of_positivity(f, theta)
         assert rep.passed
         assert rep.lhs > 0.0
@@ -189,8 +190,8 @@ class TestPositivityChain:
     def test_minima_measure(self):
         m = 3
         f0, _ = make_kernel_mixture(9, n_terms=3, pole_time=(-8.0, -4.0))
-        f = normalize_by_infimum(f0, q_bar(m, 1), (16, 24, 24))
-        vals = sample_on_box(f, q_one(1), (16, 24, 24)).values
+        f = normalize_by_infimum(f0, q_bar(m, 1), N_LOCAL)
+        vals = local_norms(f, q_one(1), N_LOCAL).values
         M = float(np.quantile(vals, 0.45))
         rep = verify_minima_measure(f, m, M)
         assert rep.passed and rep.lhs >= 1.0 - 1e-12
@@ -216,6 +217,38 @@ class TestHarnackAndHolder:
         rep = verify_harnack(f)
         assert rep.passed
         assert np.isfinite(rep.details["weak_harnack_fitted"])
+
+    @pytest.mark.parametrize("source_sup", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_harnack_reuses_weak_harnack_exactly(self, seed, source_sup):
+        # Harnack measures Q_- and the Q_+ hull once; its weak Harnack
+        # constant is the one verify_weak_harnack fits at p = 2, bit for bit
+        f, _ = make_kernel_mixture(seed)
+        rep = verify_harnack(f, source_sup=source_sup)
+        weak = verify_weak_harnack(f, p=2.0, source_sup=source_sup)
+        assert rep.details["weak_harnack_fitted"] == weak.fitted_c
+        assert rep.rhs == weak.rhs
+
+    @pytest.mark.parametrize("source_sup", [0.0, 0.3])
+    def test_harnack_reuses_weak_harnack_exactly_d2(self, source_sup):
+        f, _ = make_kernel_mixture(2, d=2)
+        n = (4, 6, 6)
+        rep = verify_harnack(f, source_sup=source_sup, d=2, n_local=n)
+        weak = verify_weak_harnack(f, p=2.0, source_sup=source_sup, d=2,
+                                   n_local=n)
+        assert rep.details["weak_harnack_fitted"] == weak.fitted_c
+
+    @pytest.mark.parametrize("R0, omega, message", [
+        (5.0, 1e-2, "R0 = 5.0 < 18"), (17.999, 1e-2, "R0 = 17.999 < 18"),
+        (18.0, 2.0, "R0 too small for omega, m")])
+    def test_harnack_and_weak_harnack_share_domain_gates(self, R0, omega,
+                                                         message):
+        errors = []
+        for verify in (verify_harnack, verify_weak_harnack):
+            with pytest.raises(HypothesisError) as info:
+                verify(constant(1.0), R0=R0, omega=omega)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == f"domain gate fails: {message}"
 
     def test_holder_kernel_solution(self):
         f, _ = make_kernel_mixture(3, n_terms=1)
@@ -318,5 +351,5 @@ class TestOpenCoordinates:
         f = g.sample(lambda T, X, V: np.clip(V[..., 0] - 0.25, 0.0, None))
         H = NegSobolevInput(ScalarField(g, np.zeros(g.shape)),
                             VectorField(g, np.zeros(g.shape + (1,))))
-        verify_weak_poincare(f, H, eta, check_transport=True)
+        verify_weak_poincare(f, H, eta)
         assert "coords" not in g.__dict__

@@ -15,7 +15,6 @@ from kinfp.fields import (
 from kinfp.geometry import PhasePoint, group_product, origin, pop_parameters
 from kinfp.harness import verify_local_poincare
 from kinfp.kolmogorov import (
-    KolmogorovKernel,
     build_cutoff,
     kernel_eval,
     localization_bound,
@@ -63,11 +62,18 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel_eval(0.0, np.zeros(1), np.zeros(1), origin(1))
 
-    def test_kernel_object_consistency(self):
-        k = KolmogorovKernel(pt(-2.0, 0.1, 0.2))
-        z = pt(-1.0, 0.3, -0.1)
-        assert k.at_point(z) == pytest.approx(
-            float(kernel_eval(z.t, z.x, z.v, k.pole)), rel=1e-14)
+    def test_left_invariance_batch_d2(self):
+        # the pole z0 seen from z0 o w is the origin seen from w, for a
+        # batch of observation points w at d = 2
+        rng = np.random.default_rng(4)
+        z0 = PhasePoint(-1.2, np.array([0.4, -0.1]), np.array([-0.3, 0.5]))
+        w = PhasePoint(rng.uniform(0.05, 2.0, 64), rng.uniform(-2, 2, (64, 2)),
+                       rng.uniform(-2, 2, (64, 2)))
+        z = group_product(z0, w)
+        a = kernel_eval(z.t, z.x, z.v, z0)
+        b = kernel_eval(w.t, w.x, w.v, origin(2))
+        assert a.shape == (64,)
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
     def test_residual_order_two(self):
         # central-difference residual of (d_t + v d_x - d_vv) applied to
