@@ -11,7 +11,8 @@ inequality / covering experiments, and writes deterministic reports:
 * a log line per instance carrying the inequality's anchor string.
 
 Exit codes: 0 all gated checks pass, 1 some check failed (reports are
-still written), 2 config parse error or a report ``--replay`` cannot use,
+still written), 2 config error (also a config that cannot run, such as
+weak-poincare at d >= 2) or a report ``--replay`` cannot use,
 3 hypothesis failure (named), 4 numerical abort (non-finite values or a
 CFL violation), 5 any other error (a one-line reason is logged, the
 traceback at DEBUG level).
@@ -197,6 +198,16 @@ def load_config(path: str) -> ExperimentConfig:
         cfg = ExperimentConfig(kind=kind, params=params, **values)
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    _check_config(cfg)
+    return cfg
+
+
+def _check_config(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError unless the config can be run: a known kind,
+    parameters in range, a grid of at least 2 nodes per axis, and no
+    weak-poincare fixture at d >= 2 (its grid would not fit in memory)."""
+    if cfg.kind not in EXPERIMENT_KINDS:
+        raise ConfigError(f"unknown experiment kind '{cfg.kind}'")
     for key, (lo, hi) in _PARAM_RANGES.items():
         val = cfg.params[key]
         if not lo < val <= hi:
@@ -205,7 +216,15 @@ def load_config(path: str) -> ExperimentConfig:
             )
     if cfg.d < 1 or min(cfg.grid_n) < 2:
         raise ConfigError("grid spec must have d >= 1 and resolutions >= 2")
-    return cfg
+    if cfg.d >= 2 and cfg.kind in ("weak-poincare", "all"):
+        n_t, n_x, n_v = _ramp_grid_n(cfg)
+        cells = n_t * (n_x * n_v) ** cfg.d
+        raise ConfigError(
+            f"kind {cfg.kind} at d = {cfg.d} needs the weak-poincare fixture "
+            f"grid of {n_t} x {n_x}^{cfg.d} x {n_v}^{cfg.d} = {cells} cells "
+            f"({cells * 8 / 2**30:.1f} GiB per float64 array); weak-poincare "
+            "runs at d = 1 only"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +338,17 @@ def _run_solve(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
+def _ramp_grid_n(cfg: ExperimentConfig) -> tuple[int, int, int]:
+    """(n_t, n_x, n_v) of the weak-poincare fixture grid: the x-resolution
+    must place cell centers inside the vanishing-set box of x-radius
+    eta^3."""
+    return max(cfg.n_t, 64), max(cfg.n_x, 128), max(cfg.n_v, 24)
+
+
 def _ramp_fixture(cfg: ExperimentConfig, eta: float):
     d = cfg.d
     box = BoxCylinder(-1.0 - eta**2, 0.0, np.zeros(d), 8.0, np.zeros(d), 2.0)
-    # x-resolution must place cell centers inside the vanishing-set box of
-    # x-radius eta^3
-    grid = Grid(box, max(cfg.n_t, 64), max(cfg.n_x, 128), max(cfg.n_v, 24))
+    grid = Grid(box, *_ramp_grid_n(cfg))
     f = grid.sample(lambda T, X, V: np.clip(V[..., 0] - 0.25, 0.0, None))
     H = NegSobolevInput(
         ScalarField(grid, np.zeros(grid.shape)),
@@ -550,10 +574,12 @@ def run(config_path: str, seed: int | None = None,
 def replay(report_path: str) -> bool:
     """Re-derive every recorded constant from the stored config and seed.
 
-    Returns True iff the rerun reproduces lhs, rhs and fitted_c
-    bit-identically.  Raises RuntimeError with a one-line reason when the
-    report cannot be read, is not JSON, lacks its config or reports, or was
-    written by another package version.
+    Returns True iff the rerun reproduces id, lhs, rhs, fitted_c and
+    passed of every record bit-identically; otherwise logs one ERROR line
+    naming where the runs first diverge.  Raises RuntimeError with a
+    one-line reason when the report cannot be read, is not JSON, lacks its
+    config or reports, was written by another package version, or holds a
+    config that ``load_config`` would refuse (``_check_config``).
     """
     try:
         payload = json.loads(Path(report_path).read_text())
@@ -580,16 +606,24 @@ def replay(report_path: str) -> bool:
             cell_size=c["coefficients"]["cell_size"],
             params=dict(c["params"]),
         )
+        _check_config(cfg)
     except (KeyError, IndexError, TypeError) as exc:
         raise RuntimeError(
             f"report lacks a valid config or reports: {exc!r}") from None
+    except ConfigError as exc:
+        raise RuntimeError(f"report config is invalid: {exc}") from None
     rows = _run_kinds(cfg)
-    if len(old) != len(rows):
-        return False
     for a, b in zip(old, rows):
         for key in ("id", "lhs", "rhs", "fitted_c", "passed"):
             if a.get(key) != b.get(key):
+                logger.error("replay diverges at %s, key %s: report %r, "
+                             "rerun %r", a.get("id"), key, a.get(key),
+                             b.get(key))
                 return False
+    if len(old) != len(rows):
+        logger.error("replay diverges: report has %d records, rerun %d",
+                     len(old), len(rows))
+        return False
     return True
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -60,22 +61,52 @@ def standard_grid(n=(24, 24, 24), d: int = 1, t_max: float = 0.0) -> Grid:
 
 @dataclass(frozen=True)
 class DiscreteSet:
-    """Boolean mask on a grid, measured against a reference cylinder."""
+    """Boolean mask on a grid, measured against a reference cylinder.
+
+    A set is a value: it keeps a read-only copy of the mask it is given, so
+    what is derived from the mask (the region mask, the counts of the
+    dense-cylinder scan) is computed once per set.
+    """
 
     grid: Grid
     mask: np.ndarray
     region: Cylinder
 
     def __post_init__(self):
-        if self.mask.shape != self.grid.shape:
+        mask = np.array(self.mask, dtype=bool)
+        if mask.shape != self.grid.shape:
             raise ValueError("mask shape does not match grid shape")
-        if self.mask.dtype != np.bool_:
-            object.__setattr__(self, "mask", self.mask.astype(bool))
+        mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
 
     @cached_property
     def region_mask(self) -> np.ndarray:
         """Cell centers inside the reference region, computed once per set."""
         return self.grid.region_mask(self.region)
+
+    @cached_property
+    def _scans(self) -> dict:
+        return {}
+
+    def _counts(self, r: float):
+        """(where, n_e, n_q) for the candidate cylinders Q_r(z0) whose cell
+        center z0 makes Q lie inside the reference region: the flat grid
+        indices of those centers in C order, and per center the cells of Q
+        in the set and the cells of Q.  Computed once per radius."""
+        r = float(r)
+        if r not in self._scans:
+            g = self.grid
+            centers = _cell_centers(g)
+            where = np.flatnonzero(
+                cylinder_in_cylinder(Cylinder(centers, r), self.region))
+            if g.d == 1 and where.size:
+                n_e, n_q = (c.ravel()[where] for c in _dense_counts_1d(self, r))
+            else:
+                counts = [_cell_counts(self, Cylinder(centers[idx], r))
+                          for idx in zip(*np.unravel_index(where, g.shape))]
+                n_e, n_q = np.array(counts, dtype=np.int32).reshape(-1, 2).T
+            self._scans[r] = where, n_e, n_q
+        return self._scans[r]
 
     @property
     def measure(self) -> float:
@@ -87,6 +118,11 @@ class DiscreteSet:
 
     def restricted(self) -> "DiscreteSet":
         return DiscreteSet(self.grid, self.mask & self.region_mask, self.region)
+
+
+def _cell_centers(grid: Grid) -> PhasePoint:
+    """The cell centers of the grid as one batch of points (views)."""
+    return PhasePoint(*broadcast_coords(*grid.open_coords))
 
 
 def _index_window(grid: Grid, Q):
@@ -109,25 +145,52 @@ def _window_membership(grid: Grid, Q):
     stacked cylinder Q; no cell center outside the window lies in Q.
 
     For one region the window is a tuple of slices of the grid.  For a
-    batch of B regions it is None, and the membership has shape (window
-    shape) + (B,): each region's window is padded to the longest one along
-    every axis, and the padding reads False.
+    batch of B regions it is a tuple of index arrays, one per grid axis,
+    that broadcast to the membership's shape (window shape) + (B,): each
+    region's window is padded to the longest one along every axis, the
+    padding reads False, and its indices are clipped to the grid.  Either
+    way ``mask[window]`` lines up with the membership.
     """
     lo, hi = _index_window(grid, Q)
     axes = (grid.t_nodes, *grid.x_axis, *grid.v_axis)
     batch = lo.shape[:-1]
     width = (hi - lo).reshape(-1, len(axes)).max(axis=0, initial=0)
-    coords, valid = [], True
+    index, coords, valid = [], [], True
     for a, ax in enumerate(axes):
         shape = tuple(w if b == a else 1 for b, w in enumerate(width)) + batch
         idx = lo[..., a] + np.arange(width[a]).reshape((-1,) + (1,) * len(batch))
-        coords.append(ax[np.minimum(idx, ax.size - 1)].reshape(shape))
         valid = valid & (idx < hi[..., a]).reshape(shape)
+        index.append(np.minimum(idx, ax.size - 1).reshape(shape))
+        coords.append(ax[index[-1]])
     v0 = 1 + grid.d  # the first v axis
     X, V = (np.stack(np.broadcast_arrays(*c), axis=-1)
             for c in (coords[1:v0], coords[v0:]))
     inside = Q.contains(coords[0], X, V) & valid
-    return (None if batch else tuple(map(slice, lo, hi))), inside
+    return (tuple(index) if batch else tuple(map(slice, lo, hi))), inside
+
+
+# cylinders per batch of _mark_stacks: a batch's membership holds its
+# largest stack window once per cylinder
+_MARK_BATCH = 256
+
+
+def _mark_stacks(mask: np.ndarray, grid: Grid, cylinders: list[Cylinder],
+                 m: int) -> None:
+    """Set ``mask`` True on the cell centers of the stacked extensions
+    ``Q.stacked(m)`` of a list of cylinders.  Cylinders of one radius are
+    marked together, at most ``_MARK_BATCH`` per write (an index that
+    repeats writes True again)."""
+    for _, group in groupby(cylinders, key=lambda Q: Q.r):
+        group = list(group)
+        for i in range(0, len(group), _MARK_BATCH):
+            part = group[i:i + _MARK_BATCH]
+            batch = Cylinder(
+                PhasePoint(np.array([Q.center.t for Q in part]),
+                           np.stack([Q.center.x for Q in part]),
+                           np.stack([Q.center.v for Q in part])),
+                np.array([Q.r for Q in part]))
+            win, inside = _window_membership(grid, batch.stacked(m))
+            mask[tuple(j[inside] for j in np.broadcast_arrays(*win))] = True
 
 
 def _cell_counts(E: DiscreteSet, Q: Cylinder):
@@ -271,7 +334,10 @@ def find_dense_cylinders(
     ``cylinder_in_cylinder`` over all centers); density is cell counting.
     The d = 1 count is vectorized over centers: per time offset, interval
     endpoints and a summed-area table of the mask (``_dense_counts_1d``);
-    higher dimensions count cells per admissible center.
+    higher dimensions count cells per admissible center.  The counts depend
+    on E and r only, so E keeps them per radius (``DiscreteSet._counts``)
+    and a later scan of E at another ``mu`` only applies its threshold.
+    The list runs by radius, descending, then by center in C order.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
@@ -280,25 +346,14 @@ def find_dense_cylinders(
         raise ValueError("radii list must be nonempty")
     if not E.mask.any():
         return []
-    g = E.grid
-    centers = PhasePoint(*broadcast_coords(*g.open_coords))
+    centers = _cell_centers(E.grid)
     out: list[Cylinder] = []
     for r in sorted(radii, reverse=True):
         r = float(r)
-        admissible = cylinder_in_cylinder(Cylinder(centers, r), E.region)
-        if not admissible.any():
-            continue
-        if g.d == 1:
-            n_e, n_q = _dense_counts_1d(E, r)
-            good = admissible & (n_q > 0) & (n_e >= (1.0 - mu) * n_q)
-            out.extend(Cylinder(centers[tuple(idx)], r)
-                       for idx in np.argwhere(good))
-        else:
-            for idx in np.argwhere(admissible):
-                Q = Cylinder(centers[tuple(idx)], r)
-                n_e, n_q = _cell_counts(E, Q)
-                if n_q > 0 and n_e >= (1.0 - mu) * n_q:
-                    out.append(Q)
+        where, n_e, n_q = E._counts(r)
+        good = where[(n_q > 0) & (n_e >= (1.0 - mu) * n_q)]
+        out.extend(Cylinder(centers[idx], r)
+                   for idx in zip(*np.unravel_index(good, E.grid.shape)))
     return out
 
 
@@ -441,9 +496,8 @@ def generate_hypothesis_pair(
     # complement) must lie in F
     small_radii = [r for r in all_radii if r < r0]
     if small_radii and e_mask.any():
-        for Q in find_dense_cylinders(E, 0.999, small_radii):
-            win, bar = _window_membership(grid, Q.stacked(m))
-            f_mask[win] |= bar
+        _mark_stacks(f_mask, grid, find_dense_cylinders(E, 0.999, small_radii),
+                     m)
     f_mask |= e_mask
     return E, DiscreteSet(grid, f_mask, region)
 

@@ -35,6 +35,13 @@ class TestConfigParsing:
         path = write_config(tmp_path, "[experiment]\nkind = nonsense\n")
         assert cli.run(path) == 2
 
+    def test_unknown_kind_reported_before_bad_values(self, tmp_path):
+        path = write_config(
+            tmp_path, "[experiment]\nkind = nonsense\n\n[grid]\nd = abc\n")
+        with pytest.raises(cli.ConfigError,
+                           match="unknown experiment kind 'nonsense'"):
+            cli.load_config(path)
+
     def test_missing_file(self):
         assert cli.run("/nonexistent/config.ini") == 2
 
@@ -229,6 +236,27 @@ class TestDimension:
         assert dims and set(dims) == {2}
 
 
+class TestRefusedAtD2:
+    @pytest.mark.parametrize("kind", ["weak-poincare", "all"])
+    def test_refused_before_any_grid(self, tmp_path, kind, caplog,
+                                     monkeypatch):
+        grids = []
+        init = Grid.__init__
+
+        def recording(self, *args, **kw):
+            grids.append(args)
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(Grid, "__init__", recording)
+        path = write_config(tmp_path, f"[experiment]\nkind = {kind}\n"
+                                      "[grid]\nd = 2\n")
+        with caplog.at_level("ERROR", logger="kinfp"):
+            assert cli.run(path, out=str(tmp_path / "out")) == 2
+        assert grids == [] and not (tmp_path / "out").exists()
+        [message] = [r.getMessage() for r in caplog.records]
+        assert "64 x 128^2 x 24^2 = 603979776 cells" in message
+
+
 class TestWeakHarnackConstantRow:
     def test_exact_volume_passes_at_d2(self):
         rep = cli._run_weak_harnack(small_config("weak-harnack", 2, 0))[0]
@@ -279,6 +307,17 @@ class TestFixturesKeepNoFullCoords:
         assert f.values.flags.c_contiguous
 
 
+def report_echo(**config):
+    """A report.json text with the default config echo, changed by config,
+    and no records."""
+    echo = {"kind": "weak-harnack", "seed": 0, "d": 1, "grid": [16, 24, 24],
+            "coefficients": {"kind": "constant", "lam": 1.0,
+                             "lambda_max": 1.0, "cell_size": 0.25},
+            "params": cli._PARAM_DEFAULTS}
+    return json.dumps({"version": "0.1.0", "config": dict(echo, **config),
+                       "reports": []})
+
+
 class TestReplay:
     def test_fresh_report_replays(self, tmp_path):
         path = write_config(tmp_path, WEAK_HARNACK)
@@ -286,14 +325,20 @@ class TestReplay:
         assert cli.run(path, out=str(out)) == 0
         assert cli.replay(str(out / "report.json")) is True
 
-    def test_edited_lhs_detected(self, tmp_path):
+    def test_edited_lhs_detected(self, tmp_path, caplog):
         path = write_config(tmp_path, WEAK_HARNACK)
         out = tmp_path / "out"
         assert cli.run(path, out=str(out)) == 0
         payload = json.loads((out / "report.json").read_text())
-        payload["reports"][0]["lhs"] += 1e-9
+        first = payload["reports"][0]
+        lhs = first["lhs"]
+        first["lhs"] += 1e-9
         (out / "report.json").write_text(json.dumps(payload))
-        assert cli.replay(str(out / "report.json")) is False
+        with caplog.at_level("ERROR", logger="kinfp"):
+            assert cli.replay(str(out / "report.json")) is False
+        assert [r.getMessage() for r in caplog.records] == [
+            f"replay diverges at {first['id']}, key lhs: report "
+            f"{first['lhs']!r}, rerun {lhs!r}"]
 
     @pytest.mark.parametrize("content, reason", [
         (None, "cannot read report"),
@@ -302,7 +347,15 @@ class TestReplay:
          "report lacks a valid config or reports: KeyError('config')"),
         ('{"version": "0.1.0", "config": {}}',
          "report lacks a valid config or reports: KeyError('reports')"),
-    ], ids=["missing", "malformed", "no-config", "no-reports"])
+        (report_echo(kind="nonsense"),
+         "report config is invalid: unknown experiment kind 'nonsense'"),
+        (report_echo(grid=[1, 1, 1]),
+         "report config is invalid: grid spec must have d >= 1 and "
+         "resolutions >= 2"),
+        (report_echo(kind="weak-poincare", d=2),
+         "report config is invalid: kind weak-poincare at d = 2 needs"),
+    ], ids=["missing", "malformed", "no-config", "no-reports", "bad-kind",
+            "bad-grid", "weak-poincare-d2"])
     def test_unreadable_report_exits_2(self, tmp_path, caplog, content,
                                        reason):
         path = tmp_path / "report.json"

@@ -1,4 +1,6 @@
 import hashlib
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from kinfp.inkspots import (
     DiscreteSet,
     InkspotsHypothesisError,
     _dense_counts_1d,
+    _mark_stacks,
     _window_membership,
     find_dense_cylinders,
     generate_hypothesis_pair,
@@ -21,6 +24,34 @@ from kinfp.inkspots import (
 
 def region_set(grid, mask):
     return DiscreteSet(grid, mask, unit_past_cylinder(1))
+
+
+def keys(cylinders):
+    """(t, x..., v..., r) of each cylinder, in list order."""
+    return [(Q.center.t, *map(float, Q.center.x), *map(float, Q.center.v), Q.r)
+            for Q in cylinders]
+
+
+def report_digest(rep):
+    """sha256 prefix of the bits of lhs, rhs, c_star and dense_count."""
+    packed = struct.pack("<dddd", rep.lhs, rep.rhs, rep.params["c_star"],
+                         rep.params["dense_count"])
+    return hashlib.sha256(packed).hexdigest()[:16]
+
+
+def dense_fixture():
+    """(E, F, dense, stacks): E is one r = 0.2 cylinder in Q_-, dense its
+    six dense cylinders at mu = 0.3 and radii 0.2, 0.1, and F the union of
+    E and their stacked extensions (m = 3), whose masks are in stacks."""
+    g = standard_grid((24, 24, 24), t_max=3 * 0.2**2)
+    z0 = PhasePoint(float(g.t_nodes[10]), np.array([g.x_axis[0][12]]),
+                    np.array([g.v_axis[0][12]]))
+    E = region_set(g, g.region_mask(Cylinder(z0, 0.2))
+                   & g.region_mask(unit_past_cylinder(1)))
+    dense = find_dense_cylinders(E, 0.3, radii=[0.2, 0.1])
+    stacks = [g.region_mask(Q.stacked(3)) for Q in dense]
+    return E, region_set(g, np.logical_or.reduce([E.mask, *stacks])), dense, \
+        stacks
 
 
 def brute_force_scan(E, mu, radii):
@@ -173,7 +204,105 @@ class TestFindDenseCylinders:
                         == np.count_nonzero(inside))
 
 
+class TestDiscreteSet:
+    def test_caller_writes_do_not_reach_the_set(self):
+        E0, _ = generate_hypothesis_pair(0, k=4, m=3, r0=0.4, n=(16, 16, 16))
+        mask = E0.mask.copy()
+        E = DiscreteSet(E0.grid, mask, E0.region)
+        mask[...] = True
+        assert np.array_equal(E.mask, E0.mask)
+        radii = [0.5, 0.25, 0.125]
+        assert (keys(find_dense_cylinders(E, 0.3, radii))
+                == keys(find_dense_cylinders(E0, 0.3, radii)) != [])
+
+    def test_mask_is_read_only(self):
+        E, _ = generate_hypothesis_pair(0, k=2, m=3, r0=0.3)
+        with pytest.raises(ValueError):
+            E.mask[0, 0, 0] = True
+
+    @pytest.mark.parametrize("n, d, radii", [
+        ((16, 16, 16), 1, [0.5, 0.25, 0.125]),
+        ((6, 8, 8), 2, [0.5, 0.375]),
+    ])
+    def test_second_threshold_reuses_counts(self, n, d, radii):
+        # the counts of each radius are kept on the set; a scan at another
+        # mu must still equal a fresh set's scan
+        g = standard_grid(n, d=d)
+        region = unit_past_cylinder(d)
+        rng = np.random.default_rng(0)
+        mask = g.region_mask(region) & (rng.uniform(size=g.shape) < 0.8)
+        E = DiscreteSet(g, mask, region)
+        wide = find_dense_cylinders(E, 0.999, radii)
+        dense = find_dense_cylinders(E, 0.3, radii)
+        assert sorted(E._scans) == sorted(radii)
+        assert 0 < len(dense) < len(wide)
+        assert keys(dense) == keys(find_dense_cylinders(
+            DiscreteSet(g, mask, region), 0.3, radii))
+
+class TestMarkStacks:
+    def dense_list(self):
+        # many dense cylinders of two radii, stacks reaching past the grid
+        g = standard_grid((20, 12, 10), t_max=0.3)
+        rng = np.random.default_rng(7)
+        E = region_set(g, rng.uniform(size=g.shape) < 0.7)
+        dense = find_dense_cylinders(E, 0.3, [0.5, 0.3])
+        single = np.zeros(g.shape, dtype=bool)
+        for Q in dense:
+            win, bar = _window_membership(g, Q.stacked(3))
+            single[win] |= bar
+        return g, dense, single
+
+    def test_equals_union_of_single_windows(self):
+        g, dense, single = self.dense_list()
+        assert len({Q.r for Q in dense}) == 2
+        batched = np.zeros(g.shape, dtype=bool)
+        _mark_stacks(batched, g, dense, 3)
+        assert np.array_equal(batched, single) and single.any()
+
+    def test_batches_hold_one_radius_and_at_most_the_bound(self, monkeypatch):
+        # a small bound splits both radii into several batches, the last
+        # of each radius partial; the union must not change
+        g, dense, single = self.dense_list()
+        bound = 7
+        per_radius = Counter(Q.r for Q in dense)
+        assert min(per_radius.values()) > bound
+        assert any(n % bound for n in per_radius.values())
+        monkeypatch.setattr("kinfp.inkspots._MARK_BATCH", bound)
+        seen = []
+
+        def recording(grid, Q):
+            seen.append((set(np.ravel(Q.base.r).tolist()), np.size(Q.base.r)))
+            return _window_membership(grid, Q)
+
+        monkeypatch.setattr("kinfp.inkspots._window_membership", recording)
+        batched = np.zeros(g.shape, dtype=bool)
+        _mark_stacks(batched, g, dense, 3)
+        assert np.array_equal(batched, single)
+        assert all(len(radii) == 1 and size <= bound for radii, size in seen)
+        assert len(seen) == sum(-(-n // bound) for n in per_radius.values())
+
+
 class TestVerifyInkspots:
+    def test_missing_stacked_extension_names_first_offender(self):
+        E, _, dense, stacks = dense_fixture()
+        # F lacks the cells only the third stack holds
+        others = np.logical_or.reduce([E.mask, *stacks[:2], *stacks[3:]])
+        assert np.any(stacks[2] & ~others)
+        with pytest.raises(InkspotsHypothesisError) as err:
+            verify_inkspots(E, region_set(E.grid, others), 0.3, 3, 0.3, 0.05,
+                            1.0, radii=[0.2, 0.1])
+        assert str(err.value) == (
+            "stacked extension of the dense cylinder at (t=-0.4867, "
+            "x=[0.08333333], v=[0.125]) leaves F")
+
+    def test_large_dense_cylinder_names_first_offender(self):
+        E, F, _, _ = dense_fixture()
+        with pytest.raises(InkspotsHypothesisError) as err:
+            verify_inkspots(E, F, 0.3, 3, 0.15, 0.05, 1.0, radii=[0.2, 0.1])
+        assert str(err.value) == (
+            "dense cylinder of radius 0.2 >= r0 = 0.15 at (t=-0.4867, "
+            "x=[0.08333333], v=[-0.04166667])")
+
     def test_empty_pair_passes(self):
         E, F = generate_hypothesis_pair(0, k=0, m=3, r0=0.3)
         rep = verify_inkspots(E, F, 0.3, 3, 0.3, 0.1, 1.0)
@@ -218,6 +347,31 @@ class TestVerifyInkspots:
         with pytest.raises(InkspotsHypothesisError):
             verify_inkspots(E, F, 0.3, 3, r0=0.1, c=0.1, C=1.0,
                             radii=[0.5, 0.25])
+
+    # sha256 prefixes of the report bits (report_digest), recorded before
+    # the scan kept its counts per set and radius
+    @pytest.mark.parametrize("n, digests", [
+        ((24, 24, 24),
+         ["8fff5ff5747badc9", "ea2d571fbcd75de5", "16d77d7f2e00483a",
+          "8fff5ff5747badc9", "2a5dfa5eff700a2d"]),
+        ((72, 24, 24),
+         ["13e5f2fe9e65eed7", "701c93b7644dd23b", "91d9b2efabb15011",
+          "8a924feacd76f244", "316b838bbc5e4b07"]),
+    ])
+    def test_reports_match_recorded_digests(self, n, digests):
+        got = []
+        for seed in range(5):
+            E, F = generate_hypothesis_pair(seed, k=3, m=3, r0=0.3, n=n)
+            got.append(report_digest(
+                verify_inkspots(E, F, 0.3, 3, 0.3, 0.05, 1.0)))
+        assert got == digests
+
+    def test_dense_report_matches_recorded_digest(self):
+        E, F, dense, _ = dense_fixture()
+        rep = verify_inkspots(E, F, 0.3, 3, 0.3, 0.05, 1.0,
+                              radii=[0.2, 0.1])
+        assert rep.params["dense_count"] == len(dense) == 6
+        assert report_digest(rep) == "e3de91958a51c97d"
 
     def test_mu_monotone_rhs(self):
         E, F = generate_hypothesis_pair(5, k=4, m=3, r0=0.3)
@@ -293,19 +447,10 @@ class TestGenerator:
         verify_inkspots(E, F, 0.3, 3, 0.3, 0.05, 1.0)
         assert "coords" not in E.grid.__dict__
         # with a dense cylinder, verify_inkspots builds its stacked mask
-        g = standard_grid((24, 24, 24), t_max=3 * 0.2**2)
-        z0 = PhasePoint(float(g.t_nodes[10]), np.array([g.x_axis[0][12]]),
-                        np.array([g.v_axis[0][12]]))
-        e_mask = g.region_mask(Cylinder(z0, 0.2)) & g.region_mask(
-            unit_past_cylinder(1))
-        E = region_set(g, e_mask)
-        f_mask = e_mask.copy()
-        for dense in find_dense_cylinders(E, 0.3, radii=[0.2, 0.1]):
-            f_mask |= g.region_mask(dense.stacked(3))
-        rep = verify_inkspots(E, region_set(g, f_mask), 0.3, 3, 0.3, 0.05,
-                              1.0, radii=[0.2, 0.1])
+        E, F, _, _ = dense_fixture()
+        rep = verify_inkspots(E, F, 0.3, 3, 0.3, 0.05, 1.0, radii=[0.2, 0.1])
         assert rep.params["dense_count"] > 0
-        assert "coords" not in g.__dict__
+        assert "coords" not in E.grid.__dict__
 
 
 class TestRle:
