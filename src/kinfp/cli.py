@@ -12,10 +12,10 @@ inequality / covering experiments, and writes deterministic reports:
 
 Exit codes: 0 all gated checks pass, 1 some check failed (reports are
 still written), 2 config error (also a config that cannot run, such as
-weak-poincare at d >= 2) or a report ``--replay`` cannot use,
-3 hypothesis failure (named), 4 numerical abort (non-finite values or a
-CFL violation), 5 any other error (a one-line reason is logged, the
-traceback at DEBUG level).
+weak-poincare or kernel-check at d >= 2) or a report ``--replay`` cannot
+use, 3 hypothesis failure (any ``report.HypothesisError``, named in the
+log), 4 numerical abort (non-finite values or a CFL violation), 5 any
+other error (a one-line reason is logged, the traceback at DEBUG level).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .geometry import (
 )
 from .harness import (
     N_LOCAL,
-    HypothesisError,
     estimate_holder,
     local_norms,
     make_kernel_mixture,
@@ -66,13 +65,9 @@ from .harness import (
     verify_weak_harnack,
     verify_weak_poincare,
 )
-from .inkspots import (
-    InkspotsHypothesisError,
-    generate_hypothesis_pair,
-    verify_inkspots,
-)
+from .inkspots import generate_hypothesis_pair, verify_inkspots
 from .kolmogorov import kernel_eval
-from .report import VerificationReport
+from .report import HypothesisError, VerificationReport
 
 logger = logging.getLogger("kinfp")
 
@@ -205,7 +200,8 @@ def load_config(path: str) -> ExperimentConfig:
 def _check_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigError unless the config can be run: a known kind,
     parameters in range, a grid of at least 2 nodes per axis, and no
-    weak-poincare fixture at d >= 2 (its grid would not fit in memory)."""
+    weak-poincare fixture or kernel-check sampling grid at d >= 2 (either
+    grid would not fit in memory)."""
     if cfg.kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind '{cfg.kind}'")
     for key, (lo, hi) in _PARAM_RANGES.items():
@@ -216,13 +212,18 @@ def _check_config(cfg: ExperimentConfig) -> None:
             )
     if cfg.d < 1 or min(cfg.grid_n) < 2:
         raise ConfigError("grid spec must have d >= 1 and resolutions >= 2")
-    if cfg.d >= 2 and cfg.kind in ("weak-poincare", "all"):
-        n_t, n_x, n_v = _ramp_grid_n(cfg)
+    if cfg.d >= 2 and cfg.kind in ("weak-poincare", "all", "kernel-check"):
+        if cfg.kind == "kernel-check":
+            name, what = "kernel-check", "sampling"
+            n_t, n_x, n_v = 2, _KERNEL_NODES, _KERNEL_NODES
+        else:
+            name, what = "weak-poincare", "fixture"
+            n_t, n_x, n_v = _ramp_grid_n(cfg)
         cells = n_t * (n_x * n_v) ** cfg.d
         raise ConfigError(
-            f"kind {cfg.kind} at d = {cfg.d} needs the weak-poincare fixture "
+            f"kind {cfg.kind} at d = {cfg.d} needs the {name} {what} "
             f"grid of {n_t} x {n_x}^{cfg.d} x {n_v}^{cfg.d} = {cells} cells "
-            f"({cells * 8 / 2**30:.1f} GiB per float64 array); weak-poincare "
+            f"({cells * 8 / 2**30:.1f} GiB per float64 array); {name} "
             "runs at d = 1 only"
         )
 
@@ -274,6 +275,10 @@ def _run_geometry_check(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
+#: x and v nodes per axis of each kernel-check sampling grid
+_KERNEL_NODES = 160
+
+
 def _run_kernel_check(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     d = cfg.d
@@ -281,8 +286,7 @@ def _run_kernel_check(cfg: ExperimentConfig) -> list[dict]:
         rad = 10.0 * math.sqrt(2 * s)
         radx = 10.0 * math.sqrt(2 * s**3 / 3)
         box = BoxCylinder(s - 1e-9, s, np.zeros(d), radx, np.zeros(d), rad)
-        n_q = 160
-        grid = Grid(box, 2, n_q, n_q)
+        grid = Grid(box, 2, _KERNEL_NODES, _KERNEL_NODES)
         pole = origin(d)
         fld = grid.sample(lambda T, X, V: kernel_eval(T, X, V, pole))
         # time-slice quadrature at the top node t = s; the sums below run in
@@ -314,11 +318,10 @@ def _run_solve(cfg: ExperimentConfig) -> list[dict]:
     coeffs = make_coefficients(grid, cfg.coeff_kind, cfg.lam, cfg.lambda_max,
                                cell_size=cfg.cell_size, seed=cfg.seed)
     pole = origin(d)
-    X0 = grid.x_axis[0][:, None]
-    V0 = grid.v_axis[0][None, :]
-    T0 = np.full((cfg.n_x, cfg.n_v), box.t_min)
-    init = kernel_eval(T0, X0[..., None] * np.ones(T0.shape)[..., None],
-                       V0[..., None] * np.ones(T0.shape)[..., None], pole)
+    # the kernel at the opening time, on the first slice of the open
+    # coordinates
+    _, X, V = grid.open_coords
+    init = kernel_eval(box.t_min, X[0], V[0], pole)
     f = solve(SolverConfig(grid, coeffs, init))
     rows = []
     if cfg.coeff_kind == "constant" and cfg.lam == cfg.lambda_max == 1.0:
@@ -536,7 +539,7 @@ def run(config_path: str, seed: int | None = None,
         cfg.out = out
     try:
         rows = _run_kinds(cfg)
-    except (HypothesisError, InkspotsHypothesisError) as exc:
+    except HypothesisError as exc:
         logger.error("hypothesis failure: %s", exc)
         return 3
     except (NumericalAbort, CFLError) as exc:

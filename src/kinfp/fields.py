@@ -156,11 +156,9 @@ class Grid:
                               self._axis_lines(self.v_axis, 1 + self.d)))
         return np.broadcast_to(self.open_coords[0], shape), X, V
 
-    def region_mask(self, region: Region | None) -> np.ndarray:
+    def region_mask(self, region: Region) -> np.ndarray:
         """Which nodes lie in the region, tested on the open coordinates so
         that no full-grid coordinate temporaries are built."""
-        if region is None:
-            return np.ones(self.shape, dtype=bool)
         return region.contains(*self.open_coords)
 
     def sample(self, fn) -> "ScalarField":
@@ -187,15 +185,6 @@ class ScalarField:
             raise ValueError(f"field shape {self.values.shape} != grid shape {self.grid.shape}")
         if not np.isfinite(self.values).all():
             raise ValueError("field contains non-finite values")
-
-    def __add__(self, other):
-        other = other.values if isinstance(other, ScalarField) else other
-        return ScalarField(self.grid, self.values + other)
-
-    def __mul__(self, c):
-        return ScalarField(self.grid, self.values * c)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

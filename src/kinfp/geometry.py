@@ -23,7 +23,7 @@ float ``pow`` does; numpy's array ``**`` may round differently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -323,6 +323,14 @@ class BoxCylinder:
     def d(self) -> int:
         return self.x_center.shape[-1]
 
+    def __eq__(self, other) -> bool:
+        """Field by field with ``np.array_equal``: the centers are arrays,
+        whose ``==`` has no truth value at d >= 2."""
+        if not isinstance(other, BoxCylinder):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
     def contains(self, t, x, v) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -361,9 +369,9 @@ def q_zero(eta: float, d: int = 1) -> BoxCylinder:
 
 
 def q_pos(theta: float, d: int = 1) -> BoxCylinder:
-    """Positivity cylinder (-1-theta^2, -1] x B_{theta^3} x B_theta."""
-    return BoxCylinder(-1.0 - radius_power(theta, 2), -1.0, np.zeros(d),
-                       radius_power(theta, 3), np.zeros(d), theta)
+    """Positivity cylinder (-1-theta^2, -1] x B_{theta^3} x B_theta: the
+    vanishing-set cylinder's shape at aperture theta."""
+    return q_zero(theta, d)
 
 
 def q_one(d: int = 1) -> BoxCylinder:

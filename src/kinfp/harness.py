@@ -55,7 +55,7 @@ from .kolmogorov import (
     theta0_parameters,
     zero_fraction,
 )
-from .report import VerificationReport
+from .report import HypothesisError, VerificationReport
 
 __all__ = [
     "ExperimentEnsemble",
@@ -74,10 +74,6 @@ __all__ = [
     "verify_harnack",
     "estimate_holder",
 ]
-
-
-class HypothesisError(ValueError):
-    """A named hypothesis of an inequality failed on the supplied field."""
 
 
 #: Nodes (n_t, n_x, n_v) of the local grid each verifier puts on a region;
@@ -261,15 +257,19 @@ class ExperimentEnsemble:
             grid, coeff_kind, lam, Lam, cell_size=p.get("cell_size", 0.5),
             seed=seed,
         )
-        # positive Gaussian blob mixture as initial data
-        X = grid.x_axis[0][:, None] * np.ones((1, grid.n_v))
-        V = grid.v_axis[0][None, :] * np.ones((grid.n_x, 1))
-        init = np.zeros_like(X)
+        # positive Gaussian blob mixture as initial data, on the first slice
+        # of the open coordinates
+        d = self.d
+        _, X, V = grid.open_coords
+        X, V = X[0], V[0]
+        init = np.zeros(grid.shape[1:])
         for _ in range(4):
-            cx, cv = rng.uniform(-3, 3, size=2)
+            c = rng.uniform(-3, 3, size=2 * d)
             w = rng.uniform(0.5, 2.0)
             s = rng.uniform(0.5, 2.0)
-            init += w * np.exp(-((X - cx) ** 2 + (V - cv) ** 2) / (2 * s**2))
+            r2 = (np.sum((X - c[:d]) ** 2, axis=-1)
+                  + np.sum((V - c[d:]) ** 2, axis=-1))
+            init += w * np.exp(-r2 / (2 * s**2))
         f = solve(SolverConfig(grid, coeffs, init, bc_x="copy-out",
                                bc_v="zero-flux"))
         meta = {"seed": seed, "coeff_kind": coeff_kind, "lam": lam,
@@ -333,14 +333,7 @@ def verify_weak_poincare(
     d = f.grid.d
     if np.any(f.values < 0.0):
         raise HypothesisError("weak Poincare requires f >= 0")
-    try:
-        zero_frac = zero_fraction(f, eta)
-    except ValueError as exc:
-        raise HypothesisError(str(exc)) from None
-    if zero_frac < alpha0:
-        raise HypothesisError(
-            f"zero-set measure below {alpha0}: fraction {zero_frac:.3f}"
-        )
+    zero_frac = zero_fraction(f, eta, alpha0)
     _require_transport_control(f, H)
 
     pars = theta0_parameters(eta, d)
@@ -399,6 +392,18 @@ def verify_local_poincare(
 # ---------------------------------------------------------------------------
 
 
+def _half_measure(name: str, f, region, level: float, n) -> float:
+    """The half-measure hypothesis ``name``: f >= level on at least half of
+    the cells of the region's local grid (see ``local_norms``).  Returns
+    that share; HypothesisError when it is below 1/2."""
+    frac = local_norms(f, region, n).fraction(lambda v: v >= level)
+    if frac < 0.5:
+        raise HypothesisError(
+            f"{name} hypothesis fails: fraction {frac:.3f} < 0.5"
+        )
+    return frac
+
+
 def verify_expansion_of_positivity(
     f,
     theta: float,
@@ -423,11 +428,8 @@ def verify_expansion_of_positivity(
         raise HypothesisError(
             f"source bound fails: sup|S| = {source_sup} > eta0 = {eta0}"
         )
-    frac = local_norms(f, q_pos(theta, d), n_local).fraction(lambda v: v >= 1.0)
-    if frac < 0.5:
-        raise HypothesisError(
-            f"positivity-measure hypothesis fails: fraction {frac:.3f} < 0.5"
-        )
+    frac = _half_measure("positivity-measure", f, q_pos(theta, d), 1.0,
+                         n_local)
     ext = BoxCylinder(-1.0 - theta**2, 0.0, np.zeros(d), 9.0, np.zeros(d), 3.0)
     if local_norms(f, ext, n_local).inf < 0.0:
         raise HypothesisError("expansion of positivity requires f >= 0")
@@ -462,11 +464,7 @@ def verify_minima_measure(
     if m < 3:
         raise HypothesisError("minima-measure requires m >= 3")
     theta = m ** (-0.5)
-    frac = local_norms(f, q_one(d), n_local).fraction(lambda v: v >= M)
-    if frac < 0.5:
-        raise HypothesisError(
-            f"minima-measure hypothesis fails: fraction {frac:.3f} < 0.5"
-        )
+    frac = _half_measure("minima-measure", f, q_one(d), M, n_local)
     inf_bar = local_norms(f, q_bar(m, d), n_local).inf
     return VerificationReport(
         inequality="minima-measure",
@@ -495,11 +493,7 @@ def verify_pop_large_times(
     if not 0.0 < ell0 < 1.0:
         raise ValueError("ell0 must lie in (0, 1)")
     seq = stack_cylinders(z0, r, omega)  # validates Q_r(z0) inside Q_-
-    frac = local_norms(f, seq.base, n_local).fraction(lambda v: v >= A)
-    if frac < 0.5:
-        raise HypothesisError(
-            f"large-times hypothesis fails: fraction {frac:.3f} < 0.5"
-        )
+    frac = _half_measure("large-times", f, seq.base, A, n_local)
     p0 = -math.log(ell0, 4.0)
     rhs = A * (r * r / 4.0) ** p0
     d = z0.d

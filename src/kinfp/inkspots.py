@@ -25,12 +25,13 @@ from .fields import BoxCylinder, Grid, broadcast_coords
 from .geometry import (
     Cylinder,
     PhasePoint,
+    _cylinder_batch,
     cylinder_in_cylinder,
     origin,
     radius_power,
     uniform_from,
 )
-from .report import VerificationReport
+from .report import HypothesisError, VerificationReport
 
 __all__ = [
     "DiscreteSet",
@@ -42,10 +43,6 @@ __all__ = [
     "mask_to_rle",
     "rle_to_mask",
 ]
-
-
-class InkspotsHypothesisError(ValueError):
-    """A hypothesis of the covering inequality failed; names the witness."""
 
 
 def unit_past_cylinder(d: int = 1) -> Cylinder:
@@ -183,12 +180,7 @@ def _mark_stacks(mask: np.ndarray, grid: Grid, cylinders: list[Cylinder],
     for _, group in groupby(cylinders, key=lambda Q: Q.r):
         group = list(group)
         for i in range(0, len(group), _MARK_BATCH):
-            part = group[i:i + _MARK_BATCH]
-            batch = Cylinder(
-                PhasePoint(np.array([Q.center.t for Q in part]),
-                           np.stack([Q.center.x for Q in part]),
-                           np.stack([Q.center.v for Q in part])),
-                np.array([Q.r for Q in part]))
+            batch = _cylinder_batch(group[i:i + _MARK_BATCH])
             win, inside = _window_membership(grid, batch.stacked(m))
             mask[tuple(j[inside] for j in np.broadcast_arrays(*win))] = True
 
@@ -383,19 +375,19 @@ def verify_inkspots(
         raise ValueError("r0 must lie in (0, 1)")
     region_mask = E.region_mask
     if np.any(E.mask & ~(F.mask & region_mask)):
-        raise InkspotsHypothesisError("E is not contained in F meet Q_-")
+        raise HypothesisError("E is not contained in F meet Q_-")
     if radii is None:
         radii = _default_radii(E.grid)
     dense = find_dense_cylinders(E, mu, radii)
     for Q in dense:
         if Q.r >= r0:
-            raise InkspotsHypothesisError(
+            raise HypothesisError(
                 f"dense cylinder of radius {Q.r} >= r0 = {r0} at "
                 f"(t={Q.center.t:.4f}, x={Q.center.x}, v={Q.center.v})"
             )
         win, bar = _window_membership(E.grid, Q.stacked(m))
         if np.any(bar & ~F.mask[win]):
-            raise InkspotsHypothesisError(
+            raise HypothesisError(
                 f"stacked extension of the dense cylinder at "
                 f"(t={Q.center.t:.4f}, x={Q.center.x}, v={Q.center.v}) "
                 "leaves F"

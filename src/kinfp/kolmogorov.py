@@ -28,6 +28,7 @@ import numpy as np
 from .fields import BoxCylinder, CoefficientField, Grid, ScalarField, norms
 from .fpsolver import SolverConfig, solve
 from .geometry import PhasePoint, ball_volume, q_one, q_zero
+from .report import HypothesisError
 
 __all__ = [
     "kernel_eval",
@@ -376,15 +377,21 @@ def theta0_parameters(eta: float, d: int = 1) -> dict:
     }
 
 
-def zero_fraction(f: ScalarField, eta: float) -> float:
-    """Share of the cells of f's grid inside Q_zero = (-1-eta^2, -1] x
-    B_{eta^3} x B_eta where f vanishes; ValueError when no cell center lies
-    inside Q_zero."""
+def zero_fraction(f: ScalarField, eta: float, alpha0: float) -> float:
+    """The zero-set hypothesis: the share of the cells of f's grid inside
+    Q_zero = (-1-eta^2, -1] x B_{eta^3} x B_eta where f vanishes, which must
+    be at least alpha0.  Returns the share; HypothesisError when no cell
+    center lies inside Q_zero or the share is below alpha0."""
     try:
         qz = norms(f, q_zero(eta, f.grid.d))
     except ValueError:
-        raise ValueError("grid too coarse: no cells inside Q_zero") from None
-    return qz.fraction(lambda u: u == 0.0)
+        raise HypothesisError("grid too coarse: no cells inside Q_zero") from None
+    frac = qz.fraction(lambda u: u == 0.0)
+    if frac < alpha0:
+        raise HypothesisError(
+            f"zero-set hypothesis fails: fraction {frac:.3f} < {alpha0}"
+        )
+    return frac
 
 
 def localization_bound(
@@ -407,7 +414,7 @@ def localization_bound(
     h = Psi * sup f - P_R + E_R up to scheme error.  Requires the zero set
     of f to fill at least the fraction alpha0 of Q_zero =
     (-1-eta^2, -1] x B_{eta^3} x B_eta (measured by cell counting on f's
-    grid).  Returns the bound parameters
+    grid; ``zero_fraction``).  Returns the bound parameters
 
         delta0 = (1/8) m |Q_zero|,   theta0 = 1 - delta0 / 2,
 
@@ -434,30 +441,12 @@ def localization_bound(
             or np.any(box.rx < ext.rx - tol) or np.any(box.rv < ext.rv - tol)):
         raise ValueError("grid must cover the cutoff support box")
 
-    zero_frac = zero_fraction(f, eta)
-    if zero_frac < alpha0:
-        raise ValueError(
-            f"zero-set hypothesis fails: fraction {zero_frac:.3f} < {alpha0}"
-        )
-
+    zero_frac = zero_fraction(f, eta, alpha0)
     sup_f = float(np.max(f.values))
     mask_q1 = grid.region_mask(q_one(d))
     pars = theta0_parameters(eta, d)
     theta0, delta0 = pars["theta0"], pars["delta0"]
     log_m = pars["log_kernel_min"]
-
-    if sup_f == 0.0:
-        zero = ScalarField(grid, np.zeros(grid.shape))
-        return {
-            "theta0": theta0, "delta0": delta0, "log_kernel_min": log_m,
-            "R": R, "eta": eta, "T": T, "sup_f": 0.0,
-            "zero_fraction": zero_frac,
-            "h": zero, "P_R": zero, "E_R": zero,
-            "sup_h_Q1": 0.0, "min_P_Q1": 0.0, "sup_E_Q1": 0.0,
-            "sup_E_abs": 0.0, "c_e": 0.0,
-            "passed_h": True, "passed_P": True, "passed_E": True,
-            "decomposition_error": 0.0,
-        }
 
     psi = cutoff.evaluate(*grid.open_coords)
     gap = sup_f - f.values

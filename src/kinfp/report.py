@@ -1,8 +1,17 @@
-"""Structured outcome of a single inequality verification."""
+"""Structured outcome of a single inequality verification, and the one
+error a failed hypothesis raises."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+
+class HypothesisError(ValueError):
+    """A named hypothesis of an inequality failed on the supplied data.
+
+    Every layer raises this one class (the harness checks, the zero-set
+    check of the localization, the covering check), and the CLI maps it to
+    exit code 3."""
 
 
 @dataclass

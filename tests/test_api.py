@@ -53,3 +53,13 @@ def test_span_targets_resolve():
 
 def test_traced_cli_kinds_exist():
     assert set(load_spans().CLI_KINDS) <= set(cli.EXPERIMENT_KINDS)
+
+
+def test_one_hypothesis_error():
+    from kinfp.report import HypothesisError
+
+    found = {obj for name in MODULES
+             for obj in vars(importlib.import_module(f"kinfp.{name}")).values()
+             if isinstance(obj, type)
+             and obj.__name__.endswith("HypothesisError")}
+    assert found == {HypothesisError}

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from kinfp import cli
-from kinfp.fields import Grid
+from kinfp.fields import Grid, ScalarField
+from kinfp.inkspots import DiscreteSet
 
 
 def write_config(tmp_path, body):
@@ -127,7 +128,7 @@ class TestRun:
         assert (a / "summary.csv").read_bytes() != (b / "summary.csv").read_bytes()
 
     def test_hypothesis_failure_exit_code(self, tmp_path, monkeypatch):
-        from kinfp.harness import HypothesisError
+        from kinfp.report import HypothesisError
 
         def boom(cfg):
             raise HypothesisError("zero-set measure below 0.25")
@@ -136,6 +137,39 @@ class TestRun:
         path = write_config(tmp_path, WEAK_HARNACK)
         assert cli.run(path, out=str(tmp_path / "out")) == 3
         assert not (tmp_path / "out").exists()
+
+    def test_covering_hypothesis_failure_exit_code(self, tmp_path,
+                                                    monkeypatch, caplog):
+        real = cli.generate_hypothesis_pair
+
+        def e_outside_f(*args, **kw):
+            _, F = real(*args, **kw)
+            g = F.grid
+            return (DiscreteSet(g, g.region_mask(F.region), F.region),
+                    DiscreteSet(g, np.zeros(g.shape, bool), F.region))
+
+        monkeypatch.setattr(cli, "generate_hypothesis_pair", e_outside_f)
+        path = write_config(
+            tmp_path, "[experiment]\nkind = inkspots\n[params]\ncount = 1\n")
+        with caplog.at_level("ERROR", logger="kinfp"):
+            assert cli.run(path, out=str(tmp_path / "out")) == 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "hypothesis failure: E is not contained in F meet Q_-"]
+
+    def test_zero_set_failure_exit_code(self, tmp_path, monkeypatch, caplog):
+        real = cli._ramp_fixture
+
+        def positive(cfg, eta):
+            f, H = real(cfg, eta)
+            return ScalarField(f.grid, f.values + 1.0), H
+
+        monkeypatch.setattr(cli, "_ramp_fixture", positive)
+        path = write_config(tmp_path, "[experiment]\nkind = weak-poincare\n")
+        with caplog.at_level("ERROR", logger="kinfp"):
+            assert cli.run(path, out=str(tmp_path / "out")) == 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "hypothesis failure: zero-set hypothesis fails: "
+            "fraction 0.000 < 0.25"]
 
     def test_numerical_abort_exit_code(self, tmp_path, monkeypatch):
         from kinfp.fpsolver import NumericalAbort
@@ -189,11 +223,14 @@ class TestRun:
 
 class TestRecordedOutputs:
     """summary.csv is promised byte-identical: sha256 prefixes recorded
-    before the stacking check and the ink-spots placement were batched."""
+    before the stacking check and the ink-spots placement were batched; the
+    solve rows before its initial slice moved to open coordinates."""
 
     @pytest.mark.parametrize("kind, d, count, seed, digest", [
         ("all", 1, None, 0, "a8dc87aa6560e3f6"),
         ("all", 1, None, 1, "5fa45da3adec252f"),
+        ("solve", 1, None, 0, "3a32b0f1947568c6"),
+        ("solve", 1, None, 1, "8b4604a7a3e44c55"),
         ("geometry-check", 2, None, 0, "1402e3bf4d87b5ee"),
         ("inkspots", 2, None, 0, "2c8e0deddd392cf4"),
         # one row: a d = 2 pop-large-times row samples 5.3M-cell local grids
@@ -235,9 +272,20 @@ class TestDimension:
         assert rows and all(r["passed"] for r in rows)
         assert dims and set(dims) == {2}
 
+    def test_solve_runs_at_d2(self, tmp_path):
+        path = write_config(tmp_path, "[experiment]\nkind = solve\n[grid]\n"
+                                      "d = 2\nn_t = 4\nn_x = 6\nn_v = 6\n")
+        out = tmp_path / "out"
+        assert cli.run(path, out=str(out)) == 0
+        assert len((out / "summary.csv").read_text().splitlines()) == 1 + 3
+
 
 class TestRefusedAtD2:
-    @pytest.mark.parametrize("kind", ["weak-poincare", "all"])
+    CELLS = {"weak-poincare": "64 x 128^2 x 24^2 = 603979776 cells",
+             "all": "64 x 128^2 x 24^2 = 603979776 cells",
+             "kernel-check": "2 x 160^2 x 160^2 = 1310720000 cells"}
+
+    @pytest.mark.parametrize("kind", ["weak-poincare", "all", "kernel-check"])
     def test_refused_before_any_grid(self, tmp_path, kind, caplog,
                                      monkeypatch):
         grids = []
@@ -254,7 +302,7 @@ class TestRefusedAtD2:
             assert cli.run(path, out=str(tmp_path / "out")) == 2
         assert grids == [] and not (tmp_path / "out").exists()
         [message] = [r.getMessage() for r in caplog.records]
-        assert "64 x 128^2 x 24^2 = 603979776 cells" in message
+        assert self.CELLS[kind] in message
 
 
 class TestWeakHarnackConstantRow:
@@ -354,8 +402,10 @@ class TestReplay:
          "resolutions >= 2"),
         (report_echo(kind="weak-poincare", d=2),
          "report config is invalid: kind weak-poincare at d = 2 needs"),
+        (report_echo(kind="kernel-check", d=2),
+         "report config is invalid: kind kernel-check at d = 2 needs"),
     ], ids=["missing", "malformed", "no-config", "no-reports", "bad-kind",
-            "bad-grid", "weak-poincare-d2"])
+            "bad-grid", "weak-poincare-d2", "kernel-check-d2"])
     def test_unreadable_report_exits_2(self, tmp_path, caplog, content,
                                        reason):
         path = tmp_path / "report.json"

@@ -41,6 +41,22 @@ class TestGrid:
         with pytest.raises(ValueError):
             unit_grid(n=(1, 4, 4))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equal_grids_built_separately(self, d):
+        def grid(v0=0.0):
+            box = BoxCylinder(-1.0, 0.0, np.zeros(d), 1.0, np.full(d, v0), 1.0)
+            return Grid(box, 2, 4, 4)
+
+        a, b, moved = grid(), grid(), grid(0.5)
+        assert a == b and not a != b
+        assert a != moved and not a == moved
+        zero = np.zeros(a.shape)
+        NegSobolevInput(ScalarField(a, zero),
+                        VectorField(b, np.zeros(b.shape + (d,))))
+        with pytest.raises(ValueError, match="same grid"):
+            NegSobolevInput(ScalarField(a, zero),
+                            VectorField(moved, np.zeros(moved.shape + (d,))))
+
 
 def volume_where(f, predicate, region=None):
     """Volume of the cells of the region whose value satisfies the

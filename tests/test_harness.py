@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from kinfp.fields import (
 from kinfp import harness
 from kinfp.fpsolver import Bump, SolverConfig, default_test_set, solve, weak_residual
 from kinfp.geometry import Cylinder, PhasePoint, pop_parameters, q_bar, q_one, q_pos
+from kinfp.report import HypothesisError
 from kinfp.harness import (
     N_LOCAL,
     ExperimentEnsemble,
-    HypothesisError,
     as_evaluator,
     estimate_holder,
     local_norms,
@@ -123,6 +125,30 @@ class TestWeakHarnack:
         rep = verify_weak_harnack(f, p=1.0)
         assert rep.passed and np.isfinite(rep.fitted_c)
 
+    # sha256 prefixes of the member values, recorded before the initial
+    # data moved to open coordinates
+    @pytest.mark.parametrize("n, seed, digest", [
+        ((16, 24, 16), 0, "286ff9e0d2acd13e"),
+        ((16, 24, 16), 1, "8c6961e9697d3e08"),
+        ((16, 24, 16), 2, "6c7f2a62a96726bb"),
+        ((64, 96, 48), 0, "aa86e15073f2482c"),
+        ((64, 96, 48), 1, "cb34f11209e0bfd3"),
+        ((64, 96, 48), 2, "264d3575a8c1efd6"),
+    ])
+    def test_solver_rough_member_recorded(self, n, seed, digest):
+        ens = ExperimentEnsemble(kind="solver-rough", count=1, seed=seed,
+                                 params={"n": n})
+        f, _ = ens.member(0)
+        values = np.ascontiguousarray(f.values).tobytes()
+        assert hashlib.sha256(values).hexdigest()[:16] == digest
+
+    def test_solver_rough_member_d2(self):
+        ens = ExperimentEnsemble(kind="solver-rough", count=1, d=2,
+                                 params={"n": (4, 6, 6)})
+        f, _ = ens.member(0)
+        assert f.grid.d == 2 and f.values.shape == (4, 6, 6, 6, 6)
+        assert np.all(f.values >= 0.0) and f.values.max() > 0.0
+
 
 class TestPoincare:
     def fixture(self):
@@ -182,6 +208,19 @@ class TestPositivityChain:
     def test_pop_rejects_small_measure(self):
         with pytest.raises(HypothesisError):
             verify_expansion_of_positivity(constant(0.5), 0.5)
+
+    @pytest.mark.parametrize("check, name", [
+        (lambda f: verify_expansion_of_positivity(f, 0.5),
+         "positivity-measure"),
+        (lambda f: verify_minima_measure(f, 3, 1.0), "minima-measure"),
+        (lambda f: verify_pop_large_times(
+            f, PhasePoint(-1.0 + 0.5e-4, np.zeros(1), np.zeros(1)), 0.004,
+            A=1.0), "large-times"),
+    ], ids=["pop", "minima-measure", "pop-large-times"])
+    def test_half_measure_messages(self, check, name):
+        with pytest.raises(HypothesisError) as err:
+            check(constant(0.5))
+        assert str(err.value) == f"{name} hypothesis fails: fraction 0.000 < 0.5"
 
     def test_pop_rejects_large_source(self):
         with pytest.raises(HypothesisError):

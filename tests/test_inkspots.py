@@ -8,7 +8,6 @@ import pytest
 from kinfp.geometry import Cylinder, PhasePoint, cylinder_in_cylinder
 from kinfp.inkspots import (
     DiscreteSet,
-    InkspotsHypothesisError,
     _dense_counts_1d,
     _mark_stacks,
     _window_membership,
@@ -20,6 +19,7 @@ from kinfp.inkspots import (
     unit_past_cylinder,
     verify_inkspots,
 )
+from kinfp.report import HypothesisError
 
 
 def region_set(grid, mask):
@@ -288,7 +288,7 @@ class TestVerifyInkspots:
         # F lacks the cells only the third stack holds
         others = np.logical_or.reduce([E.mask, *stacks[:2], *stacks[3:]])
         assert np.any(stacks[2] & ~others)
-        with pytest.raises(InkspotsHypothesisError) as err:
+        with pytest.raises(HypothesisError) as err:
             verify_inkspots(E, region_set(E.grid, others), 0.3, 3, 0.3, 0.05,
                             1.0, radii=[0.2, 0.1])
         assert str(err.value) == (
@@ -297,7 +297,7 @@ class TestVerifyInkspots:
 
     def test_large_dense_cylinder_names_first_offender(self):
         E, F, _, _ = dense_fixture()
-        with pytest.raises(InkspotsHypothesisError) as err:
+        with pytest.raises(HypothesisError) as err:
             verify_inkspots(E, F, 0.3, 3, 0.15, 0.05, 1.0, radii=[0.2, 0.1])
         assert str(err.value) == (
             "dense cylinder of radius 0.2 >= r0 = 0.15 at (t=-0.4867, "
@@ -335,7 +335,7 @@ class TestVerifyInkspots:
         full = np.ones(g.shape, dtype=bool)
         E = region_set(g, full)  # E sticks out of F
         F = region_set(g, np.zeros(g.shape, dtype=bool))
-        with pytest.raises(InkspotsHypothesisError):
+        with pytest.raises(HypothesisError):
             verify_inkspots(E, F, 0.3, 3, 0.3, 0.1, 1.0)
 
     def test_hypothesis_large_dense_cylinder(self):
@@ -344,7 +344,7 @@ class TestVerifyInkspots:
         inside = unit_past_cylinder(1).contains(T, X, V)
         E = region_set(g, inside)
         F = region_set(g, np.ones(g.shape, dtype=bool))
-        with pytest.raises(InkspotsHypothesisError):
+        with pytest.raises(HypothesisError):
             verify_inkspots(E, F, 0.3, 3, r0=0.1, c=0.1, C=1.0,
                             radii=[0.5, 0.25])
 
@@ -372,6 +372,15 @@ class TestVerifyInkspots:
                               radii=[0.2, 0.1])
         assert rep.params["dense_count"] == len(dense) == 6
         assert report_digest(rep) == "e3de91958a51c97d"
+
+    def test_f_on_its_own_equal_grid_at_d2(self):
+        E, F = generate_hypothesis_pair(0, k=2, m=3, r0=0.3, n=(6, 8, 8), d=2)
+        grid = standard_grid((6, 8, 8), 2, t_max=3 * 0.15**2)
+        assert grid is not E.grid and grid == E.grid
+        own = DiscreteSet(grid, F.mask, F.region)
+        args = (0.3, 3, 0.3, 0.05, 1.0)
+        assert (report_digest(verify_inkspots(E, own, *args))
+                == report_digest(verify_inkspots(E, F, *args)))
 
     def test_mu_monotone_rhs(self):
         E, F = generate_hypothesis_pair(5, k=4, m=3, r0=0.3)

@@ -22,6 +22,7 @@ from kinfp.kolmogorov import (
     solve_cauchy,
     theta0_parameters,
 )
+from kinfp.report import HypothesisError
 
 
 def pt(t, x, v):
@@ -300,9 +301,20 @@ class TestLocalization:
         g = localization_grid(eta)
         f = ScalarField(g, np.zeros(g.shape))
         out = localization_bound(f, eta)
-        assert out["sup_f"] == 0.0
-        assert np.all(out["h"].values == 0.0)
-        assert out["passed_h"]
+        for key in ("h", "P_R", "E_R"):
+            fld = out.pop(key)
+            assert fld.grid == g and np.all(fld.values == 0.0)
+        # every scalar as recorded when a zero field took an early return;
+        # delta0 underflows, so passed_P holds at min P = 0
+        assert out == {
+            "theta0": 1.0, "delta0": 0.0,
+            "log_kernel_min": -182378.36352039024, "R": 1.0,
+            "eta": 0.4688809424724623, "T": 0.027481167276733064,
+            "sup_f": 0.0, "zero_fraction": 1.0, "sup_h_Q1": 0.0,
+            "min_P_Q1": 0.0, "sup_E_Q1": 0.0, "sup_E_abs": 0.0, "c_e": 0.0,
+            "passed_h": True, "passed_P": True, "passed_E": True,
+            "decomposition_error": 0.0,
+        }
 
     def test_indicator_pipeline(self):
         eta = pop_parameters(0.5).eta
@@ -320,8 +332,10 @@ class TestLocalization:
         eta = pop_parameters(0.5).eta
         g = localization_grid(eta)
         f = ScalarField(g, np.ones(g.shape))
-        with pytest.raises(ValueError):
+        with pytest.raises(HypothesisError, match=(
+                r"^zero-set hypothesis fails: fraction 0\.000 < 0\.25$")) as err:
             localization_bound(f, eta)
+        assert isinstance(err.value, ValueError)
 
 
 def golden_fixture(eta, R):
