@@ -417,8 +417,7 @@ def _run_weak_harnack(cfg: ExperimentConfig) -> list[dict]:
     tol = cfg.params["tolerance"]
     const = lambda T, X, V: np.full(np.asarray(T, dtype=float).shape, 1.0)
     rep = verify_weak_harnack(const, p=p, omega=omega, d=cfg.d)
-    vol = omega**2 * (2 * omega**3) ** cfg.d * (2 * omega) ** cfg.d
-    exact = vol ** (1.0 / p)
+    exact = q_minus(omega, cfg.d).volume() ** (1.0 / p)
     rep = replace(
         rep, params={**rep.params, "expected_c": exact},
         passed=rep.passed and abs(rep.fitted_c - exact) <= tol * exact)

@@ -86,7 +86,8 @@ class Grid:
 
     @cached_property
     def t_nodes(self) -> np.ndarray:
-        return self.domain.t_min + self.dt * np.arange(1, self.n_t + 1)
+        t = self.domain.t_min + self.dt * np.arange(1, self.n_t + 1)
+        return np.minimum(t, self.domain.t_max)  # t_min + n_t dt can round above
 
     def x_at(self, j) -> np.ndarray:
         """Cell-center x coordinates, shape (d, *j.shape), at integer indices

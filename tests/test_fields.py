@@ -37,6 +37,25 @@ class TestGrid:
         assert g.t_nodes[-1] == pytest.approx(0.0, abs=1e-15)
         assert g.t_nodes[0] == pytest.approx(-1.0 + g.dt, rel=1e-12)
 
+    def test_top_node_is_t_max(self):
+        # t_min + 7 * dt rounds to 1.0000000000000002 here; unclamped, the
+        # box's own mask would drop the whole top slice (96 of 112 cells)
+        g = Grid(BoxCylinder(0.1, 1.0, np.zeros(1), 1.0, np.zeros(1), 1.0),
+                 7, 4, 4)
+        assert g.t_nodes[-1] == 1.0
+        assert norms(ScalarField(g, np.ones(g.shape)), g.domain).values.size == 112
+
+    def test_top_node_of_random_boxes(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            t_min = rng.uniform(-2.0, 1.0)
+            box = BoxCylinder(t_min, t_min + rng.uniform(0.01, 2.0),
+                              np.zeros(1), 1.0, np.zeros(1), 1.0)
+            g = Grid(box, int(rng.integers(2, 64)), 2, 2)
+            assert g.t_nodes[-1] <= box.t_max
+            assert np.all(np.diff(g.t_nodes) > 0.0)
+            assert g.region_mask(box).all()
+
     def test_rejects_tiny_axes(self):
         with pytest.raises(ValueError):
             unit_grid(n=(1, 4, 4))

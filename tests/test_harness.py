@@ -10,10 +10,21 @@ from kinfp.fields import (
     ScalarField,
     VectorField,
     make_coefficients,
+    norms,
 )
 from kinfp import harness
 from kinfp.fpsolver import Bump, SolverConfig, default_test_set, solve, weak_residual
-from kinfp.geometry import Cylinder, PhasePoint, pop_parameters, q_bar, q_one, q_pos
+from kinfp.geometry import (
+    Cylinder,
+    PhasePoint,
+    origin,
+    pop_parameters,
+    q_bar,
+    q_minus,
+    q_one,
+    q_plus,
+    q_pos,
+)
 from kinfp.report import HypothesisError
 from kinfp.harness import (
     N_LOCAL,
@@ -60,6 +71,57 @@ class TestEvaluators:
         Q = Cylinder(PhasePoint(0.0, np.zeros(1), np.array([5.0])), 0.1)
         with pytest.raises(HypothesisError):
             local_norms(constant(1.0), Q, (3, 2, 2))
+
+
+def cli_boxes_d1():
+    """The boxes the CLI kinds measure at d = 1 and default parameters."""
+    omega, theta = 1e-2, 0.5
+    boxes = {
+        "q_minus": q_minus(omega),
+        "q_plus_hull": q_plus(omega).box_hull(),
+        "q_one": q_one(1),
+        "q_pos": q_pos(theta),
+        "q_bar": q_bar(3),
+        # the exterior box of verify_expansion_of_positivity
+        "pop_ext": BoxCylinder(-1.0 - theta**2, 0.0, np.zeros(1), 9.0,
+                               np.zeros(1), 3.0),
+        # the enlarged past box of verify_harnack
+        "harnack_enlarged": BoxCylinder(
+            -1.0 - 3.0 * omega**2, -1.0 + 2.0 * omega**2, np.zeros(1),
+            2.0 * omega**3, np.zeros(1), 2.0 * omega),
+    }
+    for k in range(5):  # estimate_holder at levels = 5, rbar = 2
+        r = 2.0 ** -k
+        boxes[f"holder_{k}"] = Cylinder(origin(1), r).box_hull()
+        boxes[f"holder_past_{k}"] = Cylinder(
+            PhasePoint(-(r**2), np.zeros(1), np.zeros(1)), r).box_hull()
+    return boxes
+
+
+class TestLocalNorms:
+    """One path for every region: sample on the local box, count the nodes
+    inside the region."""
+
+    BOXES = cli_boxes_d1()
+
+    @pytest.mark.parametrize("n", [(16, 16, 16), N_LOCAL,
+                                   tuple(2 * k for k in N_LOCAL)])
+    @pytest.mark.parametrize("name", sorted(BOXES))
+    def test_d1_box_counts_every_node(self, name, n):
+        box = self.BOXES[name]
+        f, _ = make_kernel_mixture(3)
+        got = local_norms(f, box, n)
+        fld = sample_on_box(f, box, n)
+        assert got.values.tobytes() == fld.values.ravel().tobytes()
+        assert got.cell_volume == fld.grid.cell_volume
+
+    def test_d2_box_is_masked_by_its_balls(self):
+        box = q_minus(1e-2, 2)
+        got = local_norms(constant(1.0), box, N_LOCAL)
+        g = Grid(box, *N_LOCAL)
+        masked = norms(ScalarField(g, np.ones(g.shape)), box)
+        assert got.measure == masked.measure
+        assert got.measure < g.cell_volume * np.prod(g.shape)
 
 
 class TestKernelMixture:
@@ -361,18 +423,21 @@ class TestOpenCoordinates:
         fld = sample_on_box(f, q_one(1), (8, 8, 8))
         assert "coords" not in fld.grid.__dict__
 
-    def test_local_norms_over_cylinder_keeps_no_full_coords(self, monkeypatch):
+    @pytest.mark.parametrize("region", [
+        q_one(1),
+        Cylinder(PhasePoint(-0.2, np.array([0.05]), np.array([0.3])), 0.5),
+    ], ids=["box", "cylinder"])
+    def test_local_norms_keeps_no_full_coords(self, region, monkeypatch):
         grids = []
-        build = harness._cylinder_grid
+        sample = Grid.sample
 
-        def recording(Q, n):
-            grids.append(build(Q, n))
-            return grids[-1]
+        def recording(grid, fn):
+            grids.append(grid)
+            return sample(grid, fn)
 
-        monkeypatch.setattr(harness, "_cylinder_grid", recording)
+        monkeypatch.setattr(Grid, "sample", recording)
         f, _ = make_kernel_mixture(3)
-        Q = Cylinder(PhasePoint(-0.2, np.array([0.05]), np.array([0.3])), 0.5)
-        local_norms(f, Q, (8, 10, 12))
+        local_norms(f, region, (8, 10, 12))
         assert len(grids) == 1 and "coords" not in grids[0].__dict__
 
     def test_weak_residual_keeps_no_full_coords(self):
