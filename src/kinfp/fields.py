@@ -92,8 +92,8 @@ class Grid:
     def x_at(self, j) -> np.ndarray:
         """Cell-center x coordinates, shape (d, *j.shape), at integer indices
         j; off-grid indices extend the same formula beyond the box.  Built
-        in place in one array (the scan in ``inkspots`` calls it on whole
-        grids)."""
+        in place in one array (the dense-cylinder scan in ``inkspots``
+        calls it once per stepping pass over its box of centers)."""
         j = np.asarray(j)
         lo = self.domain.x_center - self.domain.rx
         x = np.add(j, 0.5, out=np.empty(lo.shape + j.shape))
@@ -222,7 +222,8 @@ class NegSobolevInput:
 @dataclass(frozen=True)
 class RegionNorms:
     """Cell quadrature over a region: ``values`` holds the field at the cell
-    centers inside it, each cell of volume ``cell_volume``."""
+    centers inside it, each cell of volume ``cell_volume``.  No method
+    writes into ``values`` (``excess`` builds a new array)."""
 
     values: np.ndarray
     cell_volume: float
@@ -267,13 +268,17 @@ class RegionNorms:
 
 def norms(f: ScalarField, region: Region | None = None) -> RegionNorms:
     """Cell quadrature of f over a region (the whole grid when None);
-    ValueError when no cell center lies inside the region."""
-    if region is None:
-        return RegionNorms(f.values.ravel(), f.grid.cell_volume)
-    mask = f.grid.region_mask(region)
-    if not mask.any():
-        raise ValueError("region does not overlap the grid domain")
-    return RegionNorms(f.values[mask], f.grid.cell_volume)
+    ValueError when no cell center lies inside the region.  A region that
+    holds every cell center (a d = 1 box on its own local grid) reads the
+    field in C order without gathering a copy: ``RegionNorms`` only reads
+    its values, so they may be a view of ``f.values``."""
+    if region is not None:
+        mask = f.grid.region_mask(region)
+        if not mask.any():
+            raise ValueError("region does not overlap the grid domain")
+        if not mask.all():
+            return RegionNorms(f.values[mask], f.grid.cell_volume)
+    return RegionNorms(f.values.ravel(), f.grid.cell_volume)
 
 
 def grad_v(f: ScalarField) -> np.ndarray:

@@ -641,14 +641,17 @@ def estimate_holder(
     r_base: float = 1.0,
     d: int = 1,
     n_local=N_LOCAL,
-) -> dict:
+) -> VerificationReport:
     """Oscillation decay over nested kinetic cylinders.
 
     Measures osc over Q_{r_base * rbar^{-k}} (boxes at the origin) for
     k = 0..levels-1 after normalizing f to [0, 2] on the base cylinder,
     fits log osc_k against k, and reports the exponent
     alpha = -slope / log(rbar) with the fit's R^2.  Records which branch
-    of the shrinking dichotomy (f vs 2 - f) each level took.
+    of the shrinking dichotomy (f vs 2 - f) each level took.  The report's
+    lhs is the finest oscillation and its rhs the base one; it passes when
+    f is constant on the base cylinder (every osc 0) or when osc decreases
+    strictly with a fit of R^2 >= 0.9.
     """
     if levels < 2:
         raise ValueError("need at least 2 levels")
@@ -662,9 +665,8 @@ def estimate_holder(
                 "insufficient levels before hitting grid resolution"
             )
     if base.osc <= 0.0:
-        return {"alpha_fit": None, "osc": [0.0] * levels, "r_squared": None,
-                "branches": ["f"] * levels, "monotone": True,
-                "constant": True}
+        return _holder_report([0.0] * levels, None, None, ["f"] * levels,
+                              monotone=True, constant=True)
 
     def normalized(T, X, V):
         return 2.0 * (ev(T, X, V) - base.inf) / base.osc
@@ -681,7 +683,6 @@ def estimate_holder(
             lambda v: v <= 1.0)
         branches.append("f" if frac_low <= 0.5 else "2-f")
     osc_arr = np.array(osc)
-    monotone = bool(np.all(np.diff(osc_arr) < 0.0))
     pos = osc_arr > 0.0
     ks = np.arange(levels)[pos]
     logs = np.log(osc_arr[pos])
@@ -689,12 +690,18 @@ def estimate_holder(
     pred = slope * ks + intercept
     ss_res = float(np.sum((logs - pred) ** 2))
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else None
-    return {
-        "alpha_fit": float(-slope / math.log(rbar)),
-        "osc": [float(o) for o in osc],
-        "r_squared": r_squared,
-        "branches": branches,
-        "monotone": monotone,
-        "constant": False,
-    }
+    return _holder_report(
+        [float(o) for o in osc], float(-slope / math.log(rbar)),
+        1.0 - ss_res / ss_tot if ss_tot > 0 else None, branches,
+        monotone=bool(np.all(np.diff(osc_arr) < 0.0)), constant=False)
+
+
+def _holder_report(osc, alpha_fit, r_squared, branches, monotone,
+                   constant) -> VerificationReport:
+    return VerificationReport(
+        "holder-oscillation-decay", osc[-1], osc[0],
+        params={"alpha_fit": alpha_fit, "r_squared": r_squared,
+                "branches": branches, "osc": osc, "monotone": monotone,
+                "constant": constant},
+        passed=constant or (monotone and r_squared is not None
+                            and r_squared >= 0.9))

@@ -97,7 +97,11 @@ class DiscreteSet:
             where = np.flatnonzero(
                 cylinder_in_cylinder(Cylinder(centers, r), self.region))
             if g.d == 1 and where.size:
-                n_e, n_q = (c.ravel()[where] for c in _dense_counts_1d(self, r))
+                # count the bounding box of the admissible centers only
+                idx = np.unravel_index(where, g.shape)
+                box = tuple((int(i.min()), int(i.max()) + 1) for i in idx)
+                at = tuple(i - b for i, (b, _) in zip(idx, box))
+                n_e, n_q = (c[at] for c in _dense_counts_1d(self, r, box))
             else:
                 counts = [_cell_counts(self, Cylinder(centers[idx], r))
                           for idx in zip(*np.unravel_index(where, g.shape))]
@@ -220,8 +224,10 @@ def _unit_limit(c: float) -> float:
     return y
 
 
-def _dense_counts_1d(E: DiscreteSet, r: float):
-    """(n_in_E, n_in_Q) per candidate center, as arrays over the grid.
+def _dense_counts_1d(E: DiscreteSet, r: float, box=None):
+    """(n_in_E, n_in_Q) per candidate center, as arrays over a box of
+    centers: the grid index ranges ((i0, i1), (j0, j1), (l0, l1)) of box,
+    half open, in (t, x, v) order (the whole grid when None).
 
     Membership replicates the normalised comparisons of Cylinder.contains
     bit for bit, so the result matches a brute-force scan exactly.  For a
@@ -231,26 +237,29 @@ def _dense_counts_1d(E: DiscreteSet, r: float):
     exact predicate until tight.  The velocity indices passing
     |k (v[l'] - v[l])| < 1 form an interval independent of a.  n_q is the
     product of the two lengths; n_e is one rectangle query per center on a
-    summed-area table of the mask's time row i - a.
+    summed-area table of the mask's time row i - a.  Every per-center
+    array covers the box only; the points of its cylinders may lie anywhere
+    on the grid.
     """
     g = E.grid
     t, x, v = g.t_nodes, g.x_axis[0], g.v_axis[0]
     nt, nx, nv = g.n_t, g.n_x, g.n_v
+    (i0, i1), (j0, j1), (l0, l1) = box or ((0, nt), (0, nx), (0, nv))
     vmax = float(np.max(np.abs(v)))
-    a_max = min(nt - 1, int(np.ceil(r * r / g.dt)))
+    a_max = min(i1 - 1, int(np.ceil(r * r / g.dt)))
     b_max = min(nx - 1, int(np.ceil((r**3 + r * r * vmax) / g.dx)) + 1)
     c_max = min(nv - 1, int(np.ceil(r / g.dv)) + 1)
     k = 1.0 / r
     x_lim = _unit_limit(k**3)  # |k**3 * y| < 1 iff |y| < x_lim
 
     # velocity window [v_lo[l], v_lo[l] + n_v_in[l]) of each center l
-    ls = np.arange(nv)
+    ls = np.arange(l0, l1)
     lp = ls[:, None] + np.arange(-c_max, c_max + 1)
     on_grid = (lp >= 0) & (lp < nv)
     lp = np.clip(lp, 0, nv - 1)
-    v_in = on_grid & (np.abs(k * (v[lp] - v[:, None])) < 1.0)
+    v_in = on_grid & (np.abs(k * (v[lp] - v[ls, None])) < 1.0)
     n_v_in = np.count_nonzero(v_in, axis=1).astype(np.int32)
-    v_lo = lp[ls, np.argmax(v_in, axis=1)].astype(np.int32)
+    v_lo = lp[ls - l0, np.argmax(v_in, axis=1)].astype(np.int32)
     v_hi = v_lo + n_v_in
 
     # summed-area table per time row: sat[i, p, q] = mask[i, :p, :q].sum()
@@ -260,24 +269,27 @@ def _dense_counts_1d(E: DiscreteSet, r: float):
     sat = sat.ravel()
     row_len, x_len = (nx + 1) * (nv + 1), nv + 1
 
-    n_q = np.zeros(g.shape, dtype=np.int32)
-    n_e = np.zeros(g.shape, dtype=np.int32)
-    js = np.arange(nx, dtype=np.int32)[:, None]
+    shape = (i1 - i0, j1 - j0, l1 - l0)
+    n_q = np.zeros(shape, dtype=np.int32)
+    n_e = np.zeros(shape, dtype=np.int32)
+    js = np.arange(j0, j1, dtype=np.int32)[:, None]
     j_min = np.maximum(js - b_max, 0)
     j_end = np.minimum(js + b_max, nx - 1) + 1
+    xs, vs = x[j0:j1, None], v[l0:l1]
     for a in range(a_max + 1):
-        # centers in time rows a.., their points in rows ..nt-a
-        s = t[: nt - a] - t[a:]  # t_point - t_center
+        # centers in time rows [c0, i1), their points in [c0 - a, i1 - a)
+        c0 = max(i0, a)
+        s = t[c0 - a: i1 - a] - t[c0: i1]  # t_point - t_center
         s_unit = k * k * s
         in_t = (-1.0 < s_unit) & (s_unit <= 0.0)
         if not in_t.any():
             continue
-        sv = (s[:, None] * v)[:, None, :]  # fl(s v0), (nt - a, 1, nv)
+        sv = (s[:, None] * vs)[:, None, :]  # fl(s v0), (i1 - c0, 1, l1 - l0)
 
         def x_offset(jp):
             """fl(fl(x[j'] - x[j]) - fl(s v0)) at x-indices jp per center."""
             out = g.x_at(jp)[0]
-            out -= x[:, None]
+            out -= xs
             out -= sv
             return out
 
@@ -299,9 +311,10 @@ def _dense_counts_1d(E: DiscreteSet, r: float):
         np.maximum(lo, j_min, out=lo)
         np.minimum(lo, hi, out=lo)
         lo[~in_t] = hi[~in_t]
-        n_q[a:] += (hi - lo) * n_v_in
+        n_q[c0 - i0:] += (hi - lo) * n_v_in
         # rectangle [lo, hi) x [v_lo, v_hi) of each center's point row
-        row_start = (np.arange(nt - a, dtype=np.int32) * row_len)[:, None, None]
+        row_start = (np.arange(c0 - a, i1 - a, dtype=np.int32)
+                     * row_len)[:, None, None]
         lo *= x_len
         lo += row_start
         hi *= x_len
@@ -310,7 +323,7 @@ def _dense_counts_1d(E: DiscreteSet, r: float):
         inside_e -= sat[lo + v_hi]
         inside_e -= sat[hi + v_lo]
         inside_e += sat[lo + v_lo]
-        n_e[a:] += inside_e
+        n_e[c0 - i0:] += inside_e
         del lo, hi, inside_e  # keep one pass's arrays alive at a time
     return n_e, n_q
 
@@ -325,8 +338,9 @@ def find_dense_cylinders(
     scale).  Containment in Q_- is exact (closed form, one batched
     ``cylinder_in_cylinder`` over all centers); density is cell counting.
     The d = 1 count is vectorized over centers: per time offset, interval
-    endpoints and a summed-area table of the mask (``_dense_counts_1d``);
-    higher dimensions count cells per admissible center.  The counts depend
+    endpoints and a summed-area table of the mask (``_dense_counts_1d``),
+    over the bounding box of the admissible centers only; higher
+    dimensions count cells per admissible center.  The counts depend
     on E and r only, so E keeps them per radius (``DiscreteSet._counts``)
     and a later scan of E at another ``mu`` only applies its threshold.
     The list runs by radius, descending, then by center in C order.

@@ -386,11 +386,11 @@ def test_criterion_09_covering_inequality():
 
 def test_criterion_10_oscillation_decay():
     f, _ = make_kernel_mixture(3, n_terms=1)
-    res = estimate_holder(f, levels=5)
+    res = estimate_holder(f, levels=5).params
     osc = res["osc"]
     decreasing = all(osc[i] > osc[i + 1] for i in range(len(osc) - 1))
     cres = estimate_holder(lambda T, X, V: np.full(
-        np.asarray(T, dtype=float).shape, 4.0))
+        np.asarray(T, dtype=float).shape, 4.0)).params
     const_ok = cres["constant"] and cres["osc"] == [0.0] * 5
     ok = (len(osc) >= 4 and decreasing and res["r_squared"] >= 0.9
           and res["alpha_fit"] > 0.0 and const_ok)

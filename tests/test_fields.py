@@ -229,6 +229,29 @@ class TestRegionQuadrature:
             count = int(np.sum(vals >= level))
             assert n.fraction(lambda u: u >= level) == count / vals.size
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_full_region_reads_the_field_in_place(self, order):
+        # a d = 1 box holds every node of its own grid: norms reads the
+        # field in C order, a view when the field is C-contiguous
+        box = BoxCylinder(-0.7, -0.1, np.array([0.2]), 0.5, np.array([-0.3]),
+                          0.8)
+        g = Grid(box, 6, 9, 7)
+        rng = np.random.default_rng(5)
+        f = ScalarField(g, np.asarray(rng.normal(size=g.shape), order=order))
+        mask = g.region_mask(box)
+        n, gathered = norms(f, box), fields.RegionNorms(f.values[mask],
+                                                        g.cell_volume)
+        assert mask.all()
+        assert n.values.tobytes() == gathered.values.tobytes()
+        assert np.shares_memory(n.values, f.values) == (order == "C")
+        for p in (1.0, 1.5, 2.0):
+            assert n.lp(p) == gathered.lp(p)
+        assert (n.sup, n.inf, n.integral) == (
+            gathered.sup, gathered.inf, gathered.integral)
+        part = Cylinder(PhasePoint(-0.2, np.array([0.2]), np.array([-0.3])),
+                        0.5)
+        assert not np.shares_memory(norms(f, part).values, f.values)
+
     def test_empty_region_rejected(self):
         f, _, _ = next(self.cases())
         far = Cylinder(PhasePoint(5.0, np.zeros(1), np.zeros(1)), 0.1)

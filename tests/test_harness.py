@@ -353,16 +353,21 @@ class TestHarnackAndHolder:
 
     def test_holder_kernel_solution(self):
         f, _ = make_kernel_mixture(3, n_terms=1)
-        res = estimate_holder(f, levels=5)
-        assert res["monotone"]
+        rep = estimate_holder(f, levels=5)
+        res = rep.params
+        assert res["monotone"] and not res["constant"]
         assert res["r_squared"] >= 0.9
         assert res["alpha_fit"] > 0.0
         assert len(res["branches"]) == 5
+        assert rep.inequality == "holder-oscillation-decay" and rep.passed
+        assert (rep.lhs, rep.rhs) == (res["osc"][-1], res["osc"][0])
 
     def test_holder_constant(self):
-        res = estimate_holder(constant(4.0))
-        assert res["constant"]
+        rep = estimate_holder(constant(4.0))
+        res = rep.params
+        assert res["constant"] and rep.passed
         assert res["osc"] == [0.0] * 5
+        assert (rep.lhs, rep.rhs, rep.fitted_c) == (0.0, 0.0, None)
 
 
 class TestOpenCoordinates:

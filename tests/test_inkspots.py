@@ -4,10 +4,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kinfp.inkspots as inkspots
 from kinfp.geometry import Cylinder, PhasePoint, cylinder_in_cylinder
 from kinfp.inkspots import (
     DiscreteSet,
+    _default_radii,
     _dense_counts_1d,
     _mark_stacks,
     _window_membership,
@@ -202,6 +206,64 @@ class TestFindDenseCylinders:
                 assert np.array_equal(padded[window + (i,)], inside)
                 assert (np.count_nonzero(padded[..., i])
                         == np.count_nonzero(inside))
+
+
+class TestBoxedCounts:
+    """``_dense_counts_1d`` over a box of centers equals the same box of
+    the whole-grid counts, and ``DiscreteSet._counts`` counts exactly the
+    bounding box of its admissible centers."""
+
+    @pytest.mark.parametrize("n", [(24, 24, 24), (72, 24, 24)])
+    def test_admissible_counts_equal_whole_grid_counts(self, n):
+        # the grids of the covering check; every default radius and the
+        # uneven radii whose fl(1/r) is inexact
+        E, F = generate_hypothesis_pair(1, k=3, m=3, r0=0.3, n=n)
+        radii = _default_radii(E.grid) + [0.75, 0.375, 0.1875]
+        for S in (E, F):
+            for r in radii:
+                n_e, n_q = _dense_counts_1d(S, r)
+                where, box_e, box_q = S._counts(r)
+                assert box_e.dtype == box_q.dtype == np.int32
+                assert np.array_equal(box_e, n_e.ravel()[where])
+                assert np.array_equal(box_q, n_q.ravel()[where])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_any_box_equals_the_whole_grid_box(self, data):
+        n = tuple(data.draw(st.integers(2, 10)) for _ in range(3))
+        g = standard_grid(n, t_max=data.draw(st.sampled_from([0.0, 0.3])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        E = region_set(g, rng.uniform(size=g.shape) < 0.6)
+        r = data.draw(st.one_of(
+            st.sampled_from([1.0, 0.75, 0.5, 0.375, 0.25, 0.1875]),
+            st.floats(0.05, 1.5)))
+        box = tuple(tuple(sorted(data.draw(st.lists(
+            st.integers(0, size), min_size=2, max_size=2, unique=True))))
+            for size in g.shape)
+        window = tuple(slice(*b) for b in box)
+        for whole, boxed in zip(_dense_counts_1d(E, r),
+                                _dense_counts_1d(E, r, box)):
+            assert np.array_equal(boxed, whole[window])
+
+    def test_counts_take_the_bounding_box_of_admissible_centers(
+            self, monkeypatch):
+        E0, _ = generate_hypothesis_pair(1, k=3, m=3, r0=0.3, n=(72, 24, 24))
+        boxes = []
+
+        def spy(E, r, box=None):
+            boxes.append(box)
+            return count(E, r, box)
+
+        count = inkspots._dense_counts_1d
+        monkeypatch.setattr(inkspots, "_dense_counts_1d", spy)
+        E = DiscreteSet(E0.grid, E0.mask, E0.region)  # no counts kept yet
+        whole = tuple((0, size) for size in E.grid.shape)
+        for r in (0.5, 0.25):
+            boxes.clear()
+            where, _, _ = E._counts(r)
+            idx = np.unravel_index(where, E.grid.shape)
+            bounds = tuple((int(i.min()), int(i.max()) + 1) for i in idx)
+            assert boxes == [bounds] and bounds != whole
 
 
 class TestDiscreteSet:
