@@ -15,6 +15,7 @@ implementation restriction recorded in every report.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -61,8 +62,11 @@ class DiscreteSet:
     """Boolean mask on a grid, measured against a reference cylinder.
 
     A set is a value: it keeps a read-only copy of the mask it is given, so
-    what is derived from the mask (the region mask, the counts of the
-    dense-cylinder scan) is computed once per set.
+    what is derived from the mask (its summed-area table, its cell counts
+    of the dense-cylinder scan) is computed once per set.  What depends on
+    the grid and the region only (the region mask, the admissible centers
+    and the count geometry of each radius) comes from the scan plan every
+    set on them shares (``_scan_plan``).
     """
 
     grid: Grid
@@ -78,36 +82,47 @@ class DiscreteSet:
 
     @cached_property
     def region_mask(self) -> np.ndarray:
-        """Cell centers inside the reference region, computed once per set."""
-        return self.grid.region_mask(self.region)
+        """Cell centers inside the reference region (read-only), computed
+        once per grid and region."""
+        return _region_mask(self.grid, self.region)
 
     @cached_property
     def _scans(self) -> dict:
         return {}
 
+    @cached_property
+    def _summed_area(self) -> np.ndarray:
+        """Summed-area table of a d = 1 mask per time row, raveled: entry
+        (i, p, q) of the (n_t, n_x + 1, n_v + 1) table is
+        mask[i, :p, :q].sum()."""
+        nt, nx, nv = self.grid.shape
+        sat = np.zeros((nt, nx + 1, nv + 1), dtype=np.int32)
+        np.cumsum(self.mask, axis=1, dtype=np.int32, out=sat[:, 1:, 1:])
+        np.cumsum(sat, axis=2, out=sat)
+        return sat.ravel()
+
     def _counts(self, r: float):
         """(where, n_e, n_q) for the candidate cylinders Q_r(z0) whose cell
         center z0 makes Q lie inside the reference region: the flat grid
         indices of those centers in C order, and per center the cells of Q
-        in the set and the cells of Q.  Computed once per radius."""
+        in the set and the cells of Q.  where (and n_q at d = 1) come from
+        the scan plan; the counts are made once per radius and kept on the
+        set, at d >= 2 per admissible center."""
         r = float(r)
+        plan = _scan_plan(self.grid, self.region, r)
         if r not in self._scans:
-            g = self.grid
-            centers = _cell_centers(g)
-            where = np.flatnonzero(
-                cylinder_in_cylinder(Cylinder(centers, r), self.region))
-            if g.d == 1 and where.size:
-                # count the bounding box of the admissible centers only
-                idx = np.unravel_index(where, g.shape)
-                box = tuple((int(i.min()), int(i.max()) + 1) for i in idx)
-                at = tuple(i - b for i, (b, _) in zip(idx, box))
-                n_e, n_q = (c[at] for c in _dense_counts_1d(self, r, box))
+            if plan.boxed is not None:
+                self._scans[r] = (
+                    _box_counts(plan.boxed, self._summed_area)[plan.at],
+                    plan.n_q)
             else:
+                centers = _cell_centers(self.grid)
                 counts = [_cell_counts(self, Cylinder(centers[idx], r))
-                          for idx in zip(*np.unravel_index(where, g.shape))]
-                n_e, n_q = np.array(counts, dtype=np.int32).reshape(-1, 2).T
-            self._scans[r] = where, n_e, n_q
-        return self._scans[r]
+                          for idx in zip(*np.unravel_index(plan.where,
+                                                           self.grid.shape))]
+                self._scans[r] = tuple(
+                    np.array(counts, dtype=np.int32).reshape(-1, 2).T)
+        return (plan.where, *self._scans[r])
 
     @property
     def measure(self) -> float:
@@ -119,6 +134,102 @@ class DiscreteSet:
 
     def restricted(self) -> "DiscreteSet":
         return DiscreteSet(self.grid, self.mask & self.region_mask, self.region)
+
+
+# ---------------------------------------------------------------------------
+# scan plans: what a dense-cylinder scan reads of a grid and region
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _BoxPlan:
+    """Count geometry of the d = 1 scan at one radius over a box of
+    centers (``_box_plan``): ``n_q`` the cells of each center's cylinder,
+    and per time offset a the first box row it counts and the summed-area
+    table indices (4, rows, n_x box, n_v box) of the corners of each
+    center's rectangle [lo, hi) x [v_lo, v_hi) on its point row i - a, in
+    the order (hi, v_hi), (lo, v_hi), (hi, v_lo), (lo, v_lo)."""
+
+    n_q: np.ndarray
+    passes: tuple[tuple[int, np.ndarray], ...]
+
+
+@dataclass(frozen=True)
+class _ScanPlan:
+    """What the dense-cylinder scan at one radius r reads of a grid and a
+    region, the same for every set on them: the flat indices ``where``
+    (C order) of the cell centers z0 whose cylinder Q_r(z0) lies in the
+    region.  At d = 1 with admissible centers,
+    ``boxed`` is the count geometry of their bounding box, ``at`` their
+    indices in it and ``n_q`` the cells of each admissible cylinder;
+    otherwise the three are None and a set counts cells per center.  Every
+    array is read-only."""
+
+    where: np.ndarray
+    boxed: _BoxPlan | None
+    at: tuple[np.ndarray, ...] | None
+    n_q: np.ndarray | None
+
+
+# entries kept at once, scan plans and region masks: a covering check scans
+# two grids of one region at up to three radii each
+_MAX_PLANS = 16
+_PLANS: OrderedDict = OrderedDict()
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _plan_key(grid: Grid, region: Cylinder) -> tuple:
+    """The numbers that fix the grid's nodes and the region, bit for bit:
+    the node counts and the bytes of the box's t_min, t_max, rx, rv,
+    x_center, v_center and the region's center and radius."""
+    box, z = grid.domain, region.center
+    numbers = np.concatenate(([box.t_min, box.t_max, box.rx, box.rv],
+                              box.x_center, box.v_center, [z.t], z.x, z.v,
+                              [region.r]))
+    return grid.n_t, grid.n_x, grid.n_v, numbers.tobytes()
+
+
+def _cached(key: tuple, build):
+    """The entry of ``_PLANS`` at key (a scan plan, or the region mask of a
+    grid and region), built by ``build()`` on first use; the least
+    recently used entry goes when the cache is full."""
+    plan = _PLANS.pop(key, None)
+    if plan is None:
+        plan = build()
+        if len(_PLANS) >= _MAX_PLANS:
+            _PLANS.popitem(last=False)
+    _PLANS[key] = plan
+    return plan
+
+
+def _region_mask(grid: Grid, region: Cylinder) -> np.ndarray:
+    """``grid.region_mask(region)``, read-only, once per grid and region."""
+    return _cached(_plan_key(grid, region),
+                   lambda: _read_only(grid.region_mask(region)))
+
+
+def _scan_plan(grid: Grid, region: Cylinder, r: float) -> _ScanPlan:
+    """The scan plan of (grid, region, r), built on first use."""
+    r = float(r)
+    return _cached(_plan_key(grid, region) + (r,),
+                   lambda: _build_scan_plan(grid, region, r))
+
+
+def _build_scan_plan(grid: Grid, region: Cylinder, r: float) -> _ScanPlan:
+    where = _read_only(np.flatnonzero(
+        cylinder_in_cylinder(Cylinder(_cell_centers(grid), r), region)))
+    if grid.d > 1 or not where.size:
+        return _ScanPlan(where, None, None, None)
+    # count the bounding box of the admissible centers only
+    idx = np.unravel_index(where, grid.shape)
+    box = tuple((int(i.min()), int(i.max()) + 1) for i in idx)
+    at = tuple(_read_only(i - b) for i, (b, _) in zip(idx, box))
+    boxed = _box_plan(grid, r, box)
+    return _ScanPlan(where, boxed, at, _read_only(boxed.n_q[at]))
 
 
 def _cell_centers(grid: Grid) -> PhasePoint:
@@ -227,21 +338,30 @@ def _unit_limit(c: float) -> float:
 def _dense_counts_1d(E: DiscreteSet, r: float, box=None):
     """(n_in_E, n_in_Q) per candidate center, as arrays over a box of
     centers: the grid index ranges ((i0, i1), (j0, j1), (l0, l1)) of box,
-    half open, in (t, x, v) order (the whole grid when None).
+    half open, in (t, x, v) order (the whole grid when None).  The count
+    geometry of the grid (``_box_plan``) applied to E's mask
+    (``_box_counts``); the result matches a brute-force scan exactly."""
+    plan = _box_plan(E.grid, r, box)
+    return _box_counts(plan, E._summed_area), plan.n_q
+
+
+def _box_plan(grid: Grid, r: float, box=None) -> _BoxPlan:
+    """Count geometry of the d = 1 cylinders Q_r(z0) centered on a box of
+    cell centers (see ``_dense_counts_1d``), the same for every set.
 
     Membership replicates the normalised comparisons of Cylinder.contains
-    bit for bit, so the result matches a brute-force scan exactly.  For a
-    center (i, j, l) and time offset a, fl(fl(x[j'] - x[j]) - fl(s v[l])) is
-    monotone in j', so the x-indices passing |.| < x_lim form one interval;
-    each endpoint is guessed from (s v -+ x_lim) / dx and stepped with the
-    exact predicate until tight.  The velocity indices passing
-    |k (v[l'] - v[l])| < 1 form an interval independent of a.  n_q is the
-    product of the two lengths; n_e is one rectangle query per center on a
-    summed-area table of the mask's time row i - a.  Every per-center
-    array covers the box only; the points of its cylinders may lie anywhere
-    on the grid.
+    bit for bit.  For a center (i, j, l) and time offset a,
+    fl(fl(x[j'] - x[j]) - fl(s v[l])) is monotone in j', so the x-indices
+    passing |.| < x_lim form one interval; each endpoint is guessed from
+    (s v -+ x_lim) / dx and stepped with the exact predicate until tight.
+    The velocity indices passing |k (v[l'] - v[l])| < 1 form an interval
+    independent of a.  n_q is the product of the two lengths; the cells of
+    a set in the rectangle of the two intervals on time row i - a are one
+    query of four corners on the set's summed-area table.  Every per-center
+    array covers the box only; the points of its cylinders may lie
+    anywhere on the grid.
     """
-    g = E.grid
+    g = grid
     t, x, v = g.t_nodes, g.x_axis[0], g.v_axis[0]
     nt, nx, nv = g.n_t, g.n_x, g.n_v
     (i0, i1), (j0, j1), (l0, l1) = box or ((0, nt), (0, nx), (0, nv))
@@ -262,16 +382,10 @@ def _dense_counts_1d(E: DiscreteSet, r: float, box=None):
     v_lo = lp[ls - l0, np.argmax(v_in, axis=1)].astype(np.int32)
     v_hi = v_lo + n_v_in
 
-    # summed-area table per time row: sat[i, p, q] = mask[i, :p, :q].sum()
-    sat = np.zeros((nt, nx + 1, nv + 1), dtype=np.int32)
-    np.cumsum(E.mask, axis=1, dtype=np.int32, out=sat[:, 1:, 1:])
-    np.cumsum(sat, axis=2, out=sat)
-    sat = sat.ravel()
+    # flat summed-area table index of (row, p, q) is row_len row + x_len p + q
     row_len, x_len = (nx + 1) * (nv + 1), nv + 1
-
-    shape = (i1 - i0, j1 - j0, l1 - l0)
-    n_q = np.zeros(shape, dtype=np.int32)
-    n_e = np.zeros(shape, dtype=np.int32)
+    n_q = np.zeros((i1 - i0, j1 - j0, l1 - l0), dtype=np.int32)
+    passes = []
     js = np.arange(j0, j1, dtype=np.int32)[:, None]
     j_min = np.maximum(js - b_max, 0)
     j_end = np.minimum(js + b_max, nx - 1) + 1
@@ -312,20 +426,31 @@ def _dense_counts_1d(E: DiscreteSet, r: float, box=None):
         np.minimum(lo, hi, out=lo)
         lo[~in_t] = hi[~in_t]
         n_q[c0 - i0:] += (hi - lo) * n_v_in
-        # rectangle [lo, hi) x [v_lo, v_hi) of each center's point row
+        # corners of the rectangle [lo, hi) x [v_lo, v_hi) of each center's
+        # point row
         row_start = (np.arange(c0 - a, i1 - a, dtype=np.int32)
                      * row_len)[:, None, None]
         lo *= x_len
         lo += row_start
         hi *= x_len
         hi += row_start
-        inside_e = sat[hi + v_hi]
-        inside_e -= sat[lo + v_hi]
-        inside_e -= sat[hi + v_lo]
-        inside_e += sat[lo + v_lo]
-        n_e[c0 - i0:] += inside_e
-        del lo, hi, inside_e  # keep one pass's arrays alive at a time
-    return n_e, n_q
+        corners = np.stack([hi + v_hi, lo + v_hi, hi + v_lo, lo + v_lo])
+        passes.append((c0 - i0, _read_only(corners)))
+    return _BoxPlan(_read_only(n_q), tuple(passes))
+
+
+def _box_counts(plan: _BoxPlan, summed_area: np.ndarray) -> np.ndarray:
+    """Cells of a set in the cylinder of each center of the plan's box:
+    the rectangle queries of every time offset on the set's flat
+    summed-area table (``DiscreteSet._summed_area``)."""
+    n_e = np.zeros(plan.n_q.shape, dtype=np.int32)
+    for row, corners in plan.passes:
+        inside_e, lo_v_hi, hi_v_lo, lo_v_lo = summed_area[corners]
+        inside_e -= lo_v_hi
+        inside_e -= hi_v_lo
+        inside_e += lo_v_lo
+        n_e[row:] += inside_e
+    return n_e
 
 
 def find_dense_cylinders(
@@ -337,12 +462,17 @@ def find_dense_cylinders(
     supplied list (default: the dyadic ladder from 1 down to the cell
     scale).  Containment in Q_- is exact (closed form, one batched
     ``cylinder_in_cylinder`` over all centers); density is cell counting.
-    The d = 1 count is vectorized over centers: per time offset, interval
-    endpoints and a summed-area table of the mask (``_dense_counts_1d``),
-    over the bounding box of the admissible centers only; higher
-    dimensions count cells per admissible center.  The counts depend
-    on E and r only, so E keeps them per radius (``DiscreteSet._counts``)
-    and a later scan of E at another ``mu`` only applies its threshold.
+    What depends on the grid, region and radius only -- the admissible
+    centers and, at d = 1, the cells of each candidate and its
+    summed-area corners on each time row -- is a scan plan built once per
+    process and kept in a bounded cache (``_scan_plan``), so a set on a
+    grid and region already scanned only counts its own cells: at d = 1
+    one rectangle query per center and time offset on the set's
+    summed-area table (``_box_counts``), over the bounding box of the
+    admissible centers; at higher dimensions per admissible center.  The
+    counts depend on E and r only, so E keeps them per radius
+    (``DiscreteSet._counts``) and a later scan of E at another ``mu`` only
+    applies its threshold.
     The list runs by radius, descending, then by center in C order.
     """
     if not 0.0 < mu < 1.0:
@@ -481,7 +611,7 @@ def generate_hypothesis_pair(
         f_mask[win] |= inside
         win, bar = _window_membership(grid, Q.stacked(m))
         f_mask[win] |= bar
-    e_mask &= grid.region_mask(region)
+    e_mask &= _region_mask(grid, region)
     f_mask |= e_mask
     E = DiscreteSet(grid, e_mask, region)
     # rejection sweep: no dense cylinder with radius >= r0 may survive

@@ -47,14 +47,30 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _kernel_log_density(s, dx, dv):
-    """Per-axis log-densities summed; s > 0, dx/dv shaped (..., d)."""
+    """Per-axis log-densities summed left to right; s > 0, dx and dv the d
+    per-axis offsets, arrays that broadcast against s.  Each axis is its
+    own array with no trailing length-d axis (reductions over such a short
+    axis cost more than the terms), and the full-size terms are updated in
+    place, in the order the formula reads."""
     s = np.asarray(s, dtype=float)
     det = s**4 / 3.0
-    q = (2.0 * s[..., None] * dx * dx
-         - 2.0 * (s**2)[..., None] * dx * dv
-         + (2.0 * s**3 / 3.0)[..., None] * dv * dv) / det[..., None]
-    per_axis = -_LOG_2PI - 0.5 * np.log(det)[..., None] - 0.5 * q
-    return np.sum(per_axis, axis=-1)
+    base = -_LOG_2PI - 0.5 * np.log(det)
+    c_xx, c_xv, c_vv = 2.0 * s, 2.0 * s**2, 2.0 * s**3 / 3.0
+    shape = np.broadcast_shapes(s.shape, *(np.shape(a) for a in (*dx, *dv)))
+    total = None
+    for dx_k, dv_k in zip(dx, dv):
+        # q = (c_xx dx dx - c_xv dx dv + c_vv dv dv) / det
+        q = np.multiply(c_xv * dx_k, dv_k, out=np.empty(shape))
+        np.subtract(c_xx * dx_k * dx_k, q, out=q)
+        q += c_vv * dv_k * dv_k
+        q /= det
+        q *= 0.5
+        term = np.subtract(base, q, out=q)  # base - 0.5 q
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total if total.ndim else total[()]
 
 
 def log_kernel_eval(t, x, v, z0: PhasePoint):
@@ -65,8 +81,9 @@ def log_kernel_eval(t, x, v, z0: PhasePoint):
     s = t - z0.t
     if np.any(s <= 0.0):
         raise ValueError("kernel is only defined forward in time (t > t0)")
-    dx = x - z0.x - s[..., None] * z0.v
-    dv = v - z0.v
+    axes = range(x.shape[-1])
+    dx = [x[..., k] - z0.x[..., k] - s * z0.v[..., k] for k in axes]
+    dv = [v[..., k] - z0.v[..., k] for k in axes]
     return _kernel_log_density(s, dx, dv)
 
 

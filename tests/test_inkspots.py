@@ -1,6 +1,6 @@
 import hashlib
 import struct
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -250,12 +250,13 @@ class TestBoxedCounts:
         E0, _ = generate_hypothesis_pair(1, k=3, m=3, r0=0.3, n=(72, 24, 24))
         boxes = []
 
-        def spy(E, r, box=None):
+        def spy(grid, r, box=None):
             boxes.append(box)
-            return count(E, r, box)
+            return plan(grid, r, box)
 
-        count = inkspots._dense_counts_1d
-        monkeypatch.setattr(inkspots, "_dense_counts_1d", spy)
+        plan = inkspots._box_plan
+        monkeypatch.setattr(inkspots, "_box_plan", spy)
+        monkeypatch.setattr(inkspots, "_PLANS", OrderedDict())  # no plans yet
         E = DiscreteSet(E0.grid, E0.mask, E0.region)  # no counts kept yet
         whole = tuple((0, size) for size in E.grid.shape)
         for r in (0.5, 0.25):
@@ -264,6 +265,131 @@ class TestBoxedCounts:
             idx = np.unravel_index(where, E.grid.shape)
             bounds = tuple((int(i.min()), int(i.max()) + 1) for i in idx)
             assert boxes == [bounds] and bounds != whole
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """An empty plan cache, and the (grid, region, r) of each scan plan
+    built from then on."""
+    monkeypatch.setattr(inkspots, "_PLANS", OrderedDict())
+    builds = []
+    build = inkspots._build_scan_plan
+
+    def spy(grid, region, r):
+        builds.append((grid, region, r))
+        return build(grid, region, r)
+
+    monkeypatch.setattr(inkspots, "_build_scan_plan", spy)
+    return builds
+
+
+class TestScanPlans:
+    """The scan plan of a grid, region and radius is built once and shared
+    by every set on them."""
+
+    def test_one_plan_per_key_shared_by_equal_grids(self, plan_builds):
+        g1, g2 = (standard_grid((16, 16, 16), t_max=0.1) for _ in range(2))
+        assert g1 is not g2 and g1 == g2
+        rng = np.random.default_rng(0)
+        sets = [region_set(g, rng.uniform(size=g.shape) < 0.7)
+                for g in (g1, g2, g1)]
+        for E in sets:
+            assert find_dense_cylinders(E, 0.3, [0.5, 0.25])
+        assert [r for _, _, r in plan_builds] == [0.5, 0.25]
+        a, b, c = (E._counts(0.5) for E in sets)
+        assert a[0] is b[0] is c[0] and a[2] is b[2] is c[2]
+        assert sets[0].region_mask is sets[1].region_mask
+
+    def test_grid_region_and_radius_each_key_a_plan(self, plan_builds):
+        n = (12, 12, 12)
+        g, g_later = standard_grid(n), standard_grid(n, t_max=0.1)
+        assert g.domain.t_max != g_later.domain.t_max
+        assert (g.n_t, g.n_x, g.n_v) == (g_later.n_t, g_later.n_x, g_later.n_v)
+        region = unit_past_cylinder(1)
+        earlier = Cylinder(PhasePoint(-0.05, np.zeros(1), np.zeros(1)), 1.0)
+        keys = [(g, region, 0.5), (g_later, region, 0.5), (g, earlier, 0.5),
+                (g, region, 0.25)]
+        for _ in range(2):
+            for grid, Q, r in keys:
+                E = DiscreteSet(grid, np.ones(grid.shape, dtype=bool), Q)
+                E._counts(r)
+        assert [(grid is g, Q is region, r) for grid, Q, r in plan_builds] \
+            == [(grid is g, Q is region, r) for grid, Q, r in keys]
+        masks = [inkspots._region_mask(grid, Q) for grid, Q, _ in keys[:3]]
+        assert not np.array_equal(masks[0], masks[1])
+        assert not np.array_equal(masks[0], masks[2])
+
+    @pytest.mark.parametrize("n, d", [((12, 12, 12), 1), ((4, 6, 6), 2)])
+    def test_plan_arrays_reject_writes(self, n, d):
+        g = standard_grid(n, d=d)
+        region = unit_past_cylinder(d)
+        plan = inkspots._scan_plan(g, region, 0.5)
+        arrays = [inkspots._region_mask(g, region), plan.where]
+        if d == 1:
+            assert plan.boxed.passes
+            arrays += [*plan.at, plan.n_q, plan.boxed.n_q,
+                       *(corners for _, corners in plan.boxed.passes)]
+        else:
+            assert plan.boxed is plan.at is plan.n_q is None
+        assert plan.where.size
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+    def test_cache_keeps_at_most_its_bound(self, plan_builds):
+        g = standard_grid((8, 8, 8))
+        E = region_set(g, np.ones(g.shape, dtype=bool))
+        radii = [1.0 / (1 + i) for i in range(inkspots._MAX_PLANS + 3)]
+        for r in radii:
+            E._counts(r)
+            assert len(inkspots._PLANS) <= inkspots._MAX_PLANS
+        assert len(plan_builds) == len(radii)
+        E._counts(radii[-1])  # the latest plans are kept
+        E._counts(radii[0])  # the first one went
+        assert len(plan_builds) == len(radii) + 1
+
+    def test_second_covering_op_makes_no_admissibility_call(
+            self, plan_builds, monkeypatch):
+        sizes = []
+
+        def spy(Qin, Qout, tol=0.0):
+            sizes.append(np.size(Qin.center.t))
+            return cylinder_in_cylinder(Qin, Qout, tol)
+
+        monkeypatch.setattr(inkspots, "cylinder_in_cylinder", spy)
+
+        def op(seed):
+            E, F = generate_hypothesis_pair(seed, k=3, m=3, r0=0.3)
+            assert E.mask.any()
+            verify_inkspots(E, F, 0.3, 3, 0.3, 0.05, 1.0)
+            return E.grid
+
+        grid = op(1)
+        assert sizes.count(grid.n_t * grid.n_x * grid.n_v) == len(plan_builds) > 0
+        sizes.clear()
+        builds = len(plan_builds)
+        op(2)
+        assert sizes == [50 * 3] and len(plan_builds) == builds
+
+    @pytest.mark.parametrize("n, d, radii", [
+        ((16, 16, 16), 1, [0.5, 0.25, 0.125]),
+        ((4, 6, 6), 2, [0.5, 0.375]),
+    ])
+    def test_cached_plans_match_brute_force(self, plan_builds, n, d, radii):
+        region = unit_past_cylinder(d)
+        rng = np.random.default_rng(1)
+        first = standard_grid(n, d=d)
+        find_dense_cylinders(
+            DiscreteSet(first, rng.uniform(size=first.shape) < 0.8, region),
+            0.3, radii)
+        built = len(plan_builds)
+        g = standard_grid(n, d=d)  # an equal grid: its plans are cached
+        E = DiscreteSet(g, g.region_mask(region)
+                        & (rng.uniform(size=g.shape) < 0.8), region)
+        dense = find_dense_cylinders(E, 0.3, radii)
+        assert len(plan_builds) == built == len(radii)
+        assert set(keys(dense)) == brute_force_scan(E, 0.3, radii)
+        assert dense
 
 
 class TestDiscreteSet:
