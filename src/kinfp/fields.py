@@ -36,6 +36,7 @@ __all__ = [
     "broadcast_coords",
     "grad_v",
     "grad_v_sq",
+    "grad_v_sq_integral",
     "h_minus1_norm",
     "make_coefficients",
 ]
@@ -291,11 +292,47 @@ def grad_v(f: ScalarField) -> np.ndarray:
     return out
 
 
+def _grad_v_sq_values(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """|grad_v|^2 of node values laid out as on ``grid``, or on an index
+    box of it: the squared centred differences summed over the v axes."""
+    sq = None
+    for k in range(grid.d):
+        dk = np.gradient(values, grid.dv, axis=1 + grid.d + k)
+        np.square(dk, out=dk)
+        sq = dk if sq is None else np.add(sq, dk, out=sq)
+    return sq
+
+
 def grad_v_sq(f: ScalarField) -> ScalarField:
     """|grad_v f|^2 at every node."""
-    sq = grad_v(f)
-    np.square(sq, out=sq)
-    return ScalarField(f.grid, sq.sum(axis=-1))
+    return ScalarField(f.grid, _grad_v_sq_values(f.values, f.grid))
+
+
+def grad_v_sq_integral(f: ScalarField, region: Region) -> float:
+    """``norms(grad_v_sq(f), region).integral`` bit for bit, with the
+    gradient taken only on the region's bounding index box.
+
+    The box is widened by one node along each v axis and clipped to the
+    grid, so ``np.gradient`` uses the centred formula at every interior
+    node of the box and the one-sided one at the grid's own v edges, as on
+    the whole grid.  The squares are summed over ``mask[box]`` in C order,
+    the order in which ``norms`` gathers them.  ValueError, as ``norms``,
+    when no cell center lies inside the region."""
+    g = f.grid
+    mask = g.region_mask(region)
+    if not mask.any():
+        raise ValueError("region does not overlap the grid domain")
+    box = []
+    for k, n in enumerate(mask.shape):
+        hit = np.flatnonzero(mask.any(axis=tuple(
+            j for j in range(mask.ndim) if j != k)))
+        lo, hi = int(hit[0]), int(hit[-1]) + 1
+        if k > g.d:  # a v axis
+            lo, hi = max(lo - 1, 0), min(hi + 1, n)
+        box.append(slice(lo, hi))
+    box = tuple(box)
+    sq = _grad_v_sq_values(f.values[box], g)
+    return float(sq[mask[box]].sum()) * g.cell_volume
 
 
 def _dirichlet_laplacian_1d(n: int, h: float) -> sp.csc_matrix:
@@ -424,20 +461,20 @@ class CoefficientField:
         norms of B are |B|."""
         if self.grid.d == 1:
             eig = self.A[..., 0, 0]
-            bnorm = np.abs(self.B[..., 0])
+            # the largest |B| as two reductions, with no |B| temporary
+            b_max = float(max(self.B.max(), -self.B.min()))
         else:
             if not np.allclose(self.A, np.swapaxes(self.A, -1, -2),
                                rtol=0, atol=1e-13):
                 raise ValueError("A must be symmetric at every node")
             eig = np.linalg.eigvalsh(self.A)
-            bnorm = np.sqrt((self.B**2).sum(axis=-1))
+            b_max = float(np.sqrt((self.B**2).sum(axis=-1)).max())
         lo, hi = eig.min(), eig.max()
         if not (lo >= self.lam - slack and hi <= self.Lam + slack):
             raise ValueError(
                 f"eigenvalues of A in [{lo:.3e}, {hi:.3e}] "
                 f"escape [{self.lam}, {self.Lam}]"
             )
-        b_max = float(bnorm.max())
         if not b_max <= self.Lam + slack:
             raise ValueError("|B| exceeds the upper ellipticity bound")
         b_l1_max = (b_max if self.grid.d == 1
@@ -483,10 +520,14 @@ def make_coefficients(
     T, X, V = grid.open_coords
 
     if kind == "checkerboard":
-        cells = _cell_index(T, cell_size)
+        # the parity of the summed cell indices, as the XOR of each axis
+        # line's parity (``& 1`` is the parity of negative indices too)
+        def odd(coord):
+            return (_cell_index(coord, cell_size) & 1) == 1
+
+        hi = odd(T)
         for i in range(d):
-            cells = cells + _cell_index(X[..., i], cell_size) + _cell_index(V[..., i], cell_size)
-        hi = (cells & 1).astype(bool)  # the parity, negative cells too
+            hi = hi ^ odd(X[..., i]) ^ odd(V[..., i])
         A = np.where(hi[..., None, None], Lam * eye, lam * eye)
         B = np.zeros(shape + (d,))
         return CoefficientField(grid, A, B, S_arr, lam, Lam)

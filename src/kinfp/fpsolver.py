@@ -23,8 +23,14 @@ v-diffusion is factored once per distinct coefficient slice: the bands and
 the elimination factors are kept while A's diagonal slice at the next step
 equals the last one factored (a piecewise-constant-in-time A refactors
 only where it jumps), and each step only applies the forward and back
-substitution.  The trajectories are bit for bit those of a solve that
-rebuilds everything at every step.
+substitution.  A row of that substitution is one line of the other axes
+(192 values on a 128 x 192 x 96 grid at d = 1), so its cost is the
+per-call cost of its ufuncs: they write their output positionally, the
+factor keeps its rows as lists, and axes move by ``transpose`` rather
+than ``np.moveaxis``.  The transport shift keeps its source block (the
+data and a zero row) from step to step and combines its two gathers in
+place.  The trajectories are bit for bit those of a solve that rebuilds
+everything at every step.
 
 Boundary conditions: in x, ``dirichlet`` (zero inflow), ``copy-out``
 (the edge value continues outward) or ``periodic``; in v, ``dirichlet``
@@ -136,7 +142,8 @@ class _LinearShift:
     monotone and linear in the data.  The foot rows and the weights depend
     only on the grid and are built once; a Dirichlet foot outside the line
     reads a zero row appended after the data, so a step is two gathers and
-    one weighted sum.
+    one weighted sum.  The source block (the data and the zero row) is
+    allocated at the first step and refilled at every later one.
     """
 
     def __init__(self, cells, n, bc):
@@ -154,15 +161,20 @@ class _LinearShift:
                     rows[(idx < 0) | (idx >= n)] = n * m
             self.rows.append(rows)
         self.weights = (1.0 - frac)[None, :, None], frac[None, :, None]
+        self.src = None  # kept from step to step
 
     def __call__(self, block):
         n, m, r = block.shape
-        src = np.empty((n * m + 1, r))  # the data, then the zero row
-        src[:-1].reshape(block.shape)[...] = block
-        src[-1] = 0.0
-        g0, g1 = (np.take(src, rows, axis=0) for rows in self.rows)
+        if self.src is None:
+            self.src = np.empty((n * m + 1, r))  # the data, then the zero row
+            self.src[-1] = 0.0
+        self.src[:-1].reshape(block.shape)[...] = block
+        g0, g1 = (np.take(self.src, rows, axis=0) for rows in self.rows)
         w0, w1 = self.weights
-        return w0 * g0 + w1 * g1
+        g0 *= w0
+        g1 *= w1
+        g0 += g1
+        return g0
 
 
 def _pchip_slopes(slopes):
@@ -244,15 +256,23 @@ def _transport_plan(grid, dt, bc, interp):
             for a in range(grid.d)]
 
 
+def _axes_first(ndim, *axes):
+    """The transpose that moves ``axes`` to the front, in that order, and
+    keeps the others in theirs (``np.moveaxis`` without its per-call
+    argument checks, which cost more than the move in the time loop)."""
+    return axes + tuple(i for i in range(ndim) if i not in axes)
+
+
 def _advect(f, plan):
     """Shift each x-axis by dt * (matching v coordinate)."""
     d = len(plan)
     out = f
     for a, shift in enumerate(plan):
         # move x_a to axis 0 and v_a to axis 1, flatten the rest
-        work = np.moveaxis(out, (a, d + a), (0, 1))
+        order = _axes_first(out.ndim, a, d + a)
+        work = out.transpose(order)
         shifted = shift(work.reshape(work.shape[0], work.shape[1], -1))
-        out = np.moveaxis(shifted.reshape(work.shape), (0, 1), (a, d + a))
+        out = shifted.reshape(work.shape).transpose(np.argsort(order))
     return out
 
 
@@ -286,7 +306,8 @@ def _diffusion_bands(a, r, bc):
 def _tridiag_factor(lower, diag, upper):
     """Thomas elimination of a batched tridiagonal matrix whose rows run
     along axis 0: returns (lower, cp, denom), the pivots denom and the
-    scaled upper band cp, for any number of ``_tridiag_apply`` calls."""
+    scaled upper band cp, each as a list of its rows, for any number of
+    ``_tridiag_apply`` calls."""
     cp = np.empty_like(diag)
     denom = np.empty_like(diag)
     denom[0] = diag[0]
@@ -294,31 +315,34 @@ def _tridiag_factor(lower, diag, upper):
     for i in range(1, len(diag)):
         denom[i] = diag[i] - lower[i] * cp[i - 1]
         cp[i] = upper[i] / denom[i]
-    return lower, cp, denom
+    return list(lower), list(cp), list(denom)
 
 
 def _tridiag_apply(factor, x):
     """Forward and back substitution in place: x (rows along axis 0, each
     row contiguous) holds the right-hand side on entry, the solution on
-    return."""
+    return.  The rows are short (one per v node, each as long as a line
+    of the other axes), so the sweep is dominated by the per-call cost of
+    its ufuncs: they get their output positionally."""
     lower, cp, denom = factor
+    mul, sub, div = np.multiply, np.subtract, np.divide
     rows = list(x)
     tmp = np.empty_like(rows[0])
-    np.divide(rows[0], denom[0], out=rows[0])
+    div(rows[0], denom[0], rows[0])
     for low, den, prev, row in zip(lower[1:], denom[1:], rows, rows[1:]):
-        np.multiply(low, prev, out=tmp)
-        np.subtract(row, tmp, out=tmp)
-        np.divide(tmp, den, out=row)
+        mul(low, prev, tmp)
+        sub(row, tmp, tmp)
+        div(tmp, den, row)
     for c, row, nxt in zip(cp[-2::-1], rows[-2::-1], rows[::-1]):
-        np.multiply(c, nxt, out=tmp)
-        np.subtract(row, tmp, out=row)
+        mul(c, nxt, tmp)
+        sub(row, tmp, row)
     return x
 
 
 def _lines(a, axis):
     """A C-ordered copy of ``a`` with ``axis`` moved first, so that every
     row of the solve along it is contiguous."""
-    return np.moveaxis(a, axis, 0).copy()
+    return a.transpose(_axes_first(a.ndim, axis)).copy()
 
 
 def _upwind_drift(f, B, dt, dv, bc):
@@ -394,8 +418,8 @@ def solve(config: SolverConfig) -> ScalarField:
                 slices[j] = a_jj
                 factors[j] = _tridiag_factor(
                     *_diffusion_bands(_lines(a_jj, axis), r, config.bc_v))
-            f = np.moveaxis(_tridiag_apply(factors[j], _lines(f, axis)),
-                            0, axis)
+            f = _tridiag_apply(factors[j], _lines(f, axis)).transpose(
+                np.argsort(_axes_first(f.ndim, axis)))
         if has_source:
             f = f + dt * S[n]
         if not np.all(np.isfinite(f)):

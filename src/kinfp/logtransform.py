@@ -11,13 +11,20 @@ inequality G'' - (G')^2 >= 0 on (0, 1].  Applied to eps + f for a
 nonnegative supersolution f, g = G(eps + f) is large exactly where f is
 small, and the composed function satisfies an energy estimate whose
 numerical form is checked by :func:`energy_estimate_check`.
+
+Cost: ``log_transform`` evaluates G in place in the one array eps + f it
+allocates, next to one scratch array for (1 - t) and its square, and checks
+its input with min/max reductions, so no full-grid boolean temporaries are
+made.  ``energy_estimate_check`` takes |grad_v g|^2 only on the interior
+region's bounding index box (``fields.grad_v_sq_integral``); both give the
+bits of the whole-grid formulas.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import BoxCylinder, ScalarField, grad_v_sq, norms
+from .fields import BoxCylinder, ScalarField, grad_v_sq_integral, norms
 from .report import VerificationReport
 
 __all__ = [
@@ -29,19 +36,41 @@ __all__ = [
 ]
 
 
+def _check_positive(t: np.ndarray) -> None:
+    """Raise unless every entry is finite and strictly positive; min/max
+    reductions, which NaN fails, so no boolean temporaries are made."""
+    if t.size and not (t.min() > 0.0 and t.max() < np.inf):
+        raise ValueError("G is only defined for strictly positive arguments")
+
+
 def _as_positive(t):
     t = np.asarray(t, dtype=float)
-    if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
-        raise ValueError("G is only defined for strictly positive arguments")
+    _check_positive(t)
+    return t
+
+
+def _g_in_place(t: np.ndarray) -> np.ndarray:
+    """Overwrite a checked t with G(t) and return it: -ln t - u - u^2 / 2
+    with u = 1 - t, then zero where t >= 1.  Where t < 1, u >= 2^-53, so
+    u * u is a normal number and halving it is exact: this is
+    (-ln t - u) - (0.5 u) u bit for bit."""
+    plateau = t >= 1.0
+    u = np.subtract(1.0, t, out=np.empty_like(t))  # an array at 0-d too
+    np.log(t, out=t)
+    np.negative(t, out=t)
+    np.subtract(t, u, out=t)
+    np.multiply(u, u, out=u)
+    np.multiply(u, 0.5, out=u)
+    np.subtract(t, u, out=t)
+    np.copyto(t, 0.0, where=plateau)
     return t
 
 
 def g_eval(t):
     """G(t), truncated to zero for t > 1."""
-    t = _as_positive(t)
-    u = 1.0 - t
-    out = -np.log(t) - u - 0.5 * u * u
-    return np.where(t >= 1.0, 0.0, out)
+    t = np.array(t, dtype=float)  # a copy: G is computed in place
+    _check_positive(t)
+    return _g_in_place(t)
 
 
 def g_prime(t):
@@ -65,9 +94,13 @@ def log_transform(f: ScalarField, eps: float) -> ScalarField:
     """
     if not 0.0 < eps <= 0.25:
         raise ValueError(f"eps must lie in (0, 1/4], got {eps}")
-    if np.any(f.values < 0.0):
+    # fmin skips NaN, so a field with NaN and negative values is reported
+    # as negative, and one with NaN alone fails the positivity check
+    if np.fmin.reduce(f.values, axis=None) < 0.0:
         raise ValueError("log_transform requires a nonnegative field")
-    return ScalarField(f.grid, g_eval(eps + f.values))
+    t = eps + f.values
+    _check_positive(t)
+    return ScalarField(f.grid, _g_in_place(t))
 
 
 def energy_estimate_check(
@@ -84,13 +117,16 @@ def energy_estimate_check(
     rhs = integral of g over the exterior region
           + |exterior| * (1 + source_sup / eps).
 
-    Both sides are cell quadratures on g's grid.  The report records the
-    fitted constant lhs / rhs; it is flagged degenerate when rhs vanishes.
+    Both sides are cell quadratures on g's grid.  The gradient is taken
+    only on the interior region's bounding index box, with the bits of the
+    whole-grid ``norms(grad_v_sq(g), region_interior).integral``.  The
+    report records the fitted constant lhs / rhs; it is flagged degenerate
+    when rhs vanishes.
     """
     if source_sup < 0.0:
         raise ValueError("source_sup must be nonnegative")
     mass = norms(g, region_exterior).integral
-    lhs = 0.5 * lam * norms(grad_v_sq(g), region_interior).integral
+    lhs = 0.5 * lam * grad_v_sq_integral(g, region_interior)
     rhs = mass + region_exterior.volume() * (1.0 + source_sup / eps)
     return VerificationReport(
         inequality="log-transform-energy",

@@ -14,6 +14,7 @@ from kinfp.fields import (
     VectorField,
     grad_v,
     grad_v_sq,
+    grad_v_sq_integral,
     h_minus1_norm,
     make_coefficients,
     norms,
@@ -271,6 +272,93 @@ class TestRegionQuadrature:
         assert np.allclose(grad_v_sq(f).values, 13.0, rtol=0, atol=1e-11)
 
 
+def random_boxes(rng, domain, count):
+    """Boxes drawn around the domain: they overlap it, touch its t, x and v
+    edges or miss it, with the domain itself and its corners first."""
+    d = domain.d
+    lo_t, hi_t = domain.t_min, domain.t_max
+    span = hi_t - lo_t
+    yield domain
+    for s in (-1.0, 1.0):  # a box at each corner of the domain
+        yield BoxCylinder(hi_t - 0.3 * span, hi_t + 0.2 * span,
+                          domain.x_center + s * domain.rx, 0.4 * domain.rx,
+                          domain.v_center - s * domain.rv, 0.4 * domain.rv)
+        yield BoxCylinder(lo_t - 0.2 * span, lo_t + 0.3 * span,
+                          domain.x_center - s * domain.rx, 0.4 * domain.rx,
+                          domain.v_center + s * domain.rv, 0.4 * domain.rv)
+    for _ in range(count):
+        t0 = lo_t + span * rng.uniform(-0.3, 1.0)
+        yield BoxCylinder(
+            t0, t0 + span * rng.uniform(0.05, 1.3),
+            domain.x_center + domain.rx * rng.uniform(-1.3, 1.3, d),
+            domain.rx * rng.uniform(0.1, 1.5),
+            domain.v_center + domain.rv * rng.uniform(-1.3, 1.3, d),
+            domain.rv * rng.uniform(0.1, 1.5))
+
+
+def reference_grad_v_sq(f):
+    """|grad_v f|^2 as the stacked gradient, squared and summed over its
+    last axis, kept here as the reference."""
+    sq = grad_v(f)
+    np.square(sq, out=sq)
+    return ScalarField(f.grid, sq.sum(axis=-1))
+
+
+class TestGradVSqIntegral:
+    """``grad_v_sq`` and the interior-box integral against the stacked
+    gradient reference and its whole-grid quadrature
+    ``norms(reference_grad_v_sq(f), region).integral``, compared with ==."""
+
+    @pytest.mark.parametrize("d, n", [(1, (7, 9, 8)), (1, (5, 12, 2)),
+                                      (2, (4, 5, 6)), (2, (3, 4, 3))])
+    def test_equals_the_whole_grid_quadrature(self, d, n):
+        rng = np.random.default_rng(10 * d + n[2])
+        domain = BoxCylinder(-1.0, 0.0, np.full(d, 0.2), 1.0,
+                             np.full(d, -0.1), 1.0)
+        g = Grid(domain, *n)
+        f = ScalarField(g, rng.normal(size=g.shape))
+        sq = reference_grad_v_sq(f)
+        assert grad_v_sq(f).values.tobytes() == sq.values.tobytes()
+        checked, touched = 0, set()
+        for box in random_boxes(rng, domain, 200):
+            mask = g.region_mask(box)
+            if not mask.any():
+                with pytest.raises(ValueError, match="does not overlap"):
+                    norms(sq, box)
+                with pytest.raises(ValueError, match="does not overlap"):
+                    grad_v_sq_integral(f, box)
+                continue
+            assert grad_v_sq_integral(f, box) == norms(sq, box).integral
+            checked += 1
+            touched.update((k, end) for k in range(mask.ndim)
+                           for end in (0, -1) if mask.take(end, axis=k).any())
+        # most boxes overlap the grid, and boxes reach both ends of every
+        # axis
+        assert checked >= 100
+        assert touched == {(k, end) for k in range(1 + 2 * d)
+                           for end in (0, -1)}
+
+    def test_slanted_cylinder(self):
+        rng = np.random.default_rng(4)
+        g = Grid(BoxCylinder(-1.1, 0.0, np.zeros(1), 1.6, np.full(1, 1.3),
+                             0.9), 12, 40, 16)
+        f = ScalarField(g, rng.normal(size=g.shape))
+        Q = Cylinder(PhasePoint(-0.31, np.array([0.07]), np.array([1.3])),
+                     0.83)
+        assert (grad_v_sq_integral(f, Q)
+                == norms(reference_grad_v_sq(f), Q).integral)
+
+    def test_region_off_the_grid(self):
+        g = unit_grid(n=(4, 6, 6))
+        f = ScalarField(g, np.ones(g.shape))
+        far = Cylinder(PhasePoint(5.0, np.zeros(1), np.zeros(1)), 0.1)
+        with pytest.raises(ValueError, match="does not overlap") as ours:
+            grad_v_sq_integral(f, far)
+        with pytest.raises(ValueError) as theirs:
+            norms(reference_grad_v_sq(f), far)
+        assert str(ours.value) == str(theirs.value)
+
+
 class TestHMinus1:
     def test_zero(self):
         g = unit_grid()
@@ -417,6 +505,45 @@ class TestCoefficients:
                      + np.floor(V[..., i] / 0.3).astype(np.int64))
         expected = np.where(cells % 2 == 1, 2.0, 1.0)
         assert np.array_equal(c.A[..., 0, 0], expected)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("cell_size", [0.3, 0.5, 0.7])
+    def test_checkerboard_parity_bit_for_bit(self, d, cell_size):
+        # the grid straddles zero on every axis, so cell indices go negative
+        g = Grid(BoxCylinder(-1.0, 0.6, np.full(d, 0.1), 1.3,
+                             np.full(d, -0.2), 1.1), 9, 11, 10 - 3 * d)
+        c = make_coefficients(g, "checkerboard", 1.0, 4.0,
+                              cell_size=cell_size)
+        T, X, V = g.coords
+        assert T.min() < 0.0 < T.max()
+        cells = np.floor(T / cell_size).astype(np.int64)
+        for i in range(d):
+            assert X[..., i].min() < 0.0 < X[..., i].max()
+            assert V[..., i].min() < 0.0 < V[..., i].max()
+            cells = (cells + np.floor(X[..., i] / cell_size).astype(np.int64)
+                     + np.floor(V[..., i] / cell_size).astype(np.int64))
+        assert cells.min() < 0
+        eye = np.eye(d)
+        expected = np.where((cells & 1).astype(bool)[..., None, None],
+                            4.0 * eye, 1.0 * eye)
+        assert c.A.dtype == expected.dtype and c.A.shape == expected.shape
+        assert c.A.tobytes() == expected.tobytes()
+
+    def test_drift_bound_read_from_both_signs(self):
+        g = unit_grid(n=(4, 5, 6))
+        A = np.ones(g.shape + (1, 1))
+        rng = np.random.default_rng(5)
+        for scale in (1.0, -1.0):
+            B = rng.uniform(-0.5, 0.5, g.shape + (1,))
+            B[1, 2, 3, 0] = 1.5 * scale
+            c = CoefficientField(g, A, B, np.zeros(g.shape), 1.0, 2.0)
+            assert c.b_l1_max == float(np.abs(B).max()) == 1.5
+            B[0, 0, 0, 0] = -2.5 * scale
+            with pytest.raises(ValueError, match="upper ellipticity"):
+                CoefficientField(g, A, B, np.zeros(g.shape), 1.0, 2.0)
+        B[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="upper ellipticity"):
+            CoefficientField(g, A, B, np.zeros(g.shape), 1.0, 2.0)
 
     def test_rejects_lambda_order(self):
         g = unit_grid(n=(4, 4, 4))

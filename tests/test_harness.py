@@ -44,6 +44,7 @@ from kinfp.harness import (
     verify_weak_poincare,
 )
 from kinfp.kolmogorov import build_cutoff
+from kinfp.logtransform import energy_estimate_check, log_transform
 
 
 def constant(c):
@@ -203,6 +204,33 @@ class TestWeakHarnack:
         f, _ = ens.member(0)
         values = np.ascontiguousarray(f.values).tobytes()
         assert hashlib.sha256(values).hexdigest()[:16] == digest
+
+    # sha256 prefixes of the whole criterion-08 chain on a member: the
+    # weak Harnack constant, the log-transform energy check on the inner
+    # half box and the member's minimum, recorded before the log transform
+    # and the energy integrand were computed in place and on the box
+    @pytest.mark.parametrize("n, seed, digest", [
+        ((64, 96, 48), 0, "1aa41f716a174c7f"),
+        ((64, 96, 48), 1, "db0696a5e9fdec29"),
+        ((128, 192, 96), 0, "9cbd45d78c69735f"),
+        ((128, 192, 96), 1, "8969ca831338f6f9"),
+    ])
+    def test_solver_rough_chain_recorded(self, n, seed, digest):
+        ens = ExperimentEnsemble(
+            kind="solver-rough", count=1, seed=seed,
+            params={"coeff_kind": "checkerboard", "n": n, "cell_size": 0.5})
+        f, _ = ens.member(0)
+        rep = verify_weak_harnack(f, p=1.0)
+        box = f.grid.domain
+        inner = BoxCylinder(0.5 * (box.t_min + box.t_max), box.t_max,
+                            box.x_center, 0.5 * box.rx, box.v_center,
+                            0.5 * box.rv)
+        energy = energy_estimate_check(log_transform(f, 0.1), inner, box,
+                                       eps=0.1, source_sup=0.0, lam=1.0)
+        bits = np.array([rep.lhs, rep.rhs, rep.fitted_c, energy.lhs,
+                         energy.rhs, energy.fitted_c, float(np.min(f.values))],
+                        dtype="<f8").tobytes()
+        assert hashlib.sha256(bits).hexdigest()[:16] == digest
 
     def test_solver_rough_member_d2(self):
         ens = ExperimentEnsemble(kind="solver-rough", count=1, d=2,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,36 @@ class TestGFunction:
             with pytest.raises(ValueError):
                 g_eval(bad)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -2.0, np.nan,
+                                     np.inf, -np.inf])
+    def test_rejects_with_one_message(self, bad):
+        for t in (bad, np.array([0.5, bad, 2.0]), np.full((3, 4), bad)):
+            with pytest.raises(ValueError, match="strictly positive"):
+                g_eval(t)
+
+    def test_equals_the_reference_formula_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        one = np.nextafter(1.0, 0.0)
+        t = np.concatenate([SAMPLES, rng.uniform(1e-12, 3.0, 5000),
+                            [one, np.nextafter(one, 0.0), 1.0, 5e-324,
+                             1e-300, np.nextafter(1.0, 2.0), 1e10]])
+        for arg in (t, t[:15000].reshape(-1, 5)[::2], 0.25, one):
+            ref = reference_g(np.asarray(arg, dtype=float))
+            got = g_eval(arg)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_leaves_its_argument_unchanged(self):
+        t = SAMPLES.copy()
+        g_eval(t)
+        assert t.tobytes() == SAMPLES.tobytes()
+
+
+def reference_g(t):
+    """G as the whole-array formula, kept here as the reference."""
+    u = 1.0 - t
+    out = -np.log(t) - u - 0.5 * u * u
+    return np.where(t >= 1.0, 0.0, out)
+
 
 def small_grid():
     box = BoxCylinder(-1.0, 0.0, np.zeros(1), 1.0, np.zeros(1), 1.0)
@@ -94,6 +125,62 @@ class TestLogTransform:
             log_transform(f, 0.3)
         with pytest.raises(ValueError):
             log_transform(ScalarField(g, np.full(g.shape, -0.1)), 0.1)
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.1, 0.25])
+    def test_equals_the_reference_bit_for_bit(self, eps):
+        g = Grid(BoxCylinder(-1.0, 0.0, np.zeros(1), 1.0, np.zeros(1), 1.0),
+                 8, 12, 10)
+        rng = np.random.default_rng(int(1000 * eps))
+        # values below, across and above the plateau junction eps + f = 1
+        values = rng.uniform(0.0, 1.5, g.shape) ** 3
+        values.ravel()[:4] = [0.0, 1.0 - eps, np.nextafter(1.0 - eps, 0.0),
+                              1e-300]
+        f = ScalarField(g, values)
+        before = f.values.tobytes()
+        out = log_transform(f, eps)
+        assert f.values.tobytes() == before
+        ref = reference_g(eps + values)
+        assert out.values.tobytes() == ref.tobytes()
+        assert out.values.tobytes() == g_eval(eps + values).tobytes()
+
+    # a field is checked when it is built; these values are written into
+    # one afterwards
+    @pytest.mark.parametrize("bad, message", [
+        ([-0.1], "nonnegative"),
+        ([-np.inf], "nonnegative"),
+        ([np.nan, -0.1], "nonnegative"),
+        ([np.nan], "strictly positive"),
+        ([np.inf], "strictly positive"),
+        ([np.nan, np.inf], "strictly positive"),
+    ])
+    def test_rejects_written_values(self, bad, message):
+        g = small_grid()
+        f = ScalarField(g, np.full(g.shape, 0.5))
+        f.values.ravel()[3:3 + len(bad)] = bad
+        with pytest.raises(ValueError, match=message):
+            log_transform(f, 0.1)
+
+    def test_peak_memory(self):
+        g = Grid(BoxCylinder(-1.0, 0.0, np.zeros(1), 18.0, np.zeros(1), 18.0),
+                 64, 96, 48)
+        rng = np.random.default_rng(2)
+        f = ScalarField(g, rng.uniform(0.0, 1.2, g.shape))
+        inner = BoxCylinder(-0.5, 0.0, np.zeros(1), 9.0, np.zeros(1), 9.0)
+        field_bytes = f.values.nbytes
+
+        def peak(fn):
+            fn()  # the grid's cached coordinates are built here
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1] / field_bytes
+            finally:
+                tracemalloc.stop()
+
+        gg = log_transform(f, 0.1)
+        assert peak(lambda: log_transform(f, 0.1)) <= 2.5
+        assert peak(lambda: energy_estimate_check(
+            gg, inner, g.domain, eps=0.1, source_sup=0.0, lam=1.0)) <= 1.0
 
 
 class TestEnergyEstimate:
