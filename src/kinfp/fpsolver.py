@@ -17,20 +17,23 @@ Scheme: operator splitting, first order in time.
 * drift B . grad_v: explicit upwind.
 
 Work split: whatever depends only on the grid or on the coefficients is
-built outside the time loop.  The transport plan (foot rows and
-interpolation weights per x-axis) is built once per solve.  The
-v-diffusion is factored once per distinct coefficient slice: the bands and
-the elimination factors are kept while A's diagonal slice at the next step
-equals the last one factored (a piecewise-constant-in-time A refactors
-only where it jumps), and each step only applies the forward and back
-substitution.  A row of that substitution is one line of the other axes
-(192 values on a 128 x 192 x 96 grid at d = 1), so its cost is the
-per-call cost of its ufuncs: they write their output positionally, the
-factor keeps its rows as lists, and axes move by ``transpose`` rather
-than ``np.moveaxis``.  The transport shift keeps its source block (the
-data and a zero row) from step to step and combines its two gathers in
-place.  The trajectories are bit for bit those of a solve that rebuilds
-everything at every step.
+built outside the time loop.  The transport plan (per x-axis, the slabs of
+columns that share an integer shift, their weights and the pad rows the
+x boundary needs) is built once per solve.  The v-diffusion is factored
+once per distinct coefficient slice: the bands and the elimination factors
+are kept while A's diagonal slice at the next step equals the last one
+factored (a piecewise-constant-in-time A refactors only where it jumps),
+and each step only applies the forward and back substitution.  A row of
+that substitution is one line of the other axes (192 values on a
+128 x 192 x 96 grid at d = 1), so its cost is the per-call cost of its
+ufuncs: they write their output positionally, the factor keeps its rows
+as lists, and axes move by ``transpose`` rather than ``np.moveaxis``.
+The slice lives between pad rows in one of two buffers whose memory puts
+the v axes first, so at d = 1 the shift writes the rows the sweep reads
+and the sweep works in place: a step makes no gather and no transposing
+copy but the one that stores the slice in the trajectory.  The
+trajectories are bit for bit those of a solve that rebuilds everything at
+every step.
 
 Boundary conditions: in x, ``dirichlet`` (zero inflow), ``copy-out``
 (the edge value continues outward) or ``periodic``; in v, ``dirichlet``
@@ -44,6 +47,7 @@ divergence-form discretization conserves mass exactly (up to roundoff).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,53 +132,85 @@ class SolverConfig:
                 )
 
 
-def _gather_rows(idx, m):
-    """Row numbers ``idx * m + column`` in the (n * m, r) view of a (n, m, r)
-    block, for a foot index ``idx`` of shape (n, m)."""
-    return idx * m + np.arange(m)
+def _pad_copies(n, lo, hi, bc):
+    """The copies, as (to, from) row slices of axis 0, that fill ``lo`` pad
+    rows below and ``hi`` above a line of n rows for the x boundary:
+    none for ``dirichlet`` (the pads stay zero), the edge row for
+    ``copy-out``, and for ``periodic`` the line's other end, chunk by chunk
+    away from the data, so a pad longer than the line wraps again."""
+    if bc == "dirichlet":
+        return []
+    if bc == "copy-out":
+        copies = [(slice(0, lo), slice(lo, lo + 1)),
+                  (slice(lo + n, lo + n + hi), slice(lo + n - 1, lo + n))]
+    else:
+        copies = [(slice(max(a - n, 0), a), slice(max(a - n, 0) + n, a + n))
+                  for a in range(lo, 0, -n)]
+        copies += [(slice(a, min(a + n, lo + n + hi)),
+                    slice(a - n, min(a + n, lo + n + hi) - n))
+                   for a in range(lo + n, lo + n + hi, n)]
+    return [(to, fr) for to, fr in copies if to.stop > to.start]
 
 
 class _LinearShift:
     """Per-column constant shift of axis 0 with linear interpolation.
 
-    ``cells`` is the shift in cell units per column (m,).  Linear
-    interpolation makes the step a convex combination of node values --
-    monotone and linear in the data.  The foot rows and the weights depend
-    only on the grid and are built once; a Dirichlet foot outside the line
-    reads a zero row appended after the data, so a step is two gathers and
-    one weighted sum.  The source block (the data and the zero row) is
-    allocated at the first step and refilled at every later one.
+    ``cells`` is the shift in cell units per column (m,) of axis 1: row i
+    of column j becomes (1 - frac_j) f[i - k_j] + frac_j f[i - k_j - 1]
+    with k_j = floor(cells_j), a convex combination of node values --
+    monotone and linear in the data.  The source holds the n data rows
+    between ``lo`` pad rows below and ``hi`` above, which ``_pad_copies``
+    fills for the x boundary, so the columns that share an integer shift
+    read both feet as two slabs of whole rows: no gather.  The slabs and
+    the weights depend only on the grid and are built once; ``bind`` makes
+    the views of one source, output and scratch array once, so a step is
+    the pad copies and three ufunc calls per slab.
     """
 
     def __init__(self, cells, n, bc):
-        m = cells.size
         k = np.floor(cells).astype(int)
         frac = cells - k
-        idx0 = np.arange(n)[:, None] - k[None, :]
-        self.rows = []
-        for idx in (idx0, idx0 - 1):
-            if bc == "periodic":
-                rows = _gather_rows(idx % n, m)
-            else:
-                rows = _gather_rows(np.clip(idx, 0, n - 1), m)
-                if bc == "dirichlet":
-                    rows[(idx < 0) | (idx >= n)] = n * m
-            self.rows.append(rows)
-        self.weights = (1.0 - frac)[None, :, None], frac[None, :, None]
-        self.src = None  # kept from step to step
+        self.lo, self.hi = max(int(k.max()) + 1, 0), max(-int(k.min()), 0)
+        self.pads = _pad_copies(n, self.lo, self.hi, bc)
+        # each column's weight spread over its n rows, laid out column by
+        # column as the slice is: a multiply with a broadcast axis takes
+        # numpy about twice as long
+        w0, w1 = (np.repeat(w[:, None], n, axis=1).T for w in (1.0 - frac, frac))
+        cuts = [0] + (np.flatnonzero(np.diff(k)) + 1).tolist() + [k.size]
+        self.slabs = []
+        for j0, j1 in zip(cuts, cuts[1:]):
+            top = self.lo - int(k[j0])  # the source row of f[-k]
+            cols = slice(j0, j1)
+            self.slabs.append((cols, slice(top, top + n),
+                               slice(top - 1, top - 1 + n),
+                               w0[:, cols], w1[:, cols]))
 
-    def __call__(self, block):
-        n, m, r = block.shape
-        if self.src is None:
-            self.src = np.empty((n * m + 1, r))  # the data, then the zero row
-            self.src[-1] = 0.0
-        self.src[:-1].reshape(block.shape)[...] = block
-        g0, g1 = (np.take(self.src, rows, axis=0) for rows in self.rows)
-        w0, w1 = self.weights
-        g0 *= w0
-        g1 *= w1
-        g0 += g1
-        return g0
+    def bind(self, src, out, tmp):
+        """The step from ``src`` into ``out``: views with the x axis first
+        and the v axis second, of the padded source, the output and a
+        scratch array of the output's shape."""
+        rest = (1,) * (out.ndim - 2)  # the weights broadcast over the rest
+        pads = [(src[to], src[fr]) for to, fr in self.pads]
+        slabs = [(src[feet0, cols], w0.reshape(w0.shape + rest), out[:, cols],
+                  src[feet1, cols], w1.reshape(w1.shape + rest), tmp[:, cols])
+                 for cols, feet0, feet1, w0, w1 in self.slabs]
+        mul, add, copy = np.multiply, np.add, np.copyto
+
+        def step():
+            for to, fr in pads:
+                copy(to, fr)
+            for a, w0, o, b, w1, t in slabs:
+                mul(a, w0, o)
+                mul(b, w1, t)
+                add(o, t, o)
+
+        return step
+
+
+def _gather_rows(idx, m):
+    """Row numbers ``idx * m + column`` in the (n * m, r) view of a (n, m, r)
+    block, for a foot index ``idx`` of shape (n, m)."""
+    return idx * m + np.arange(m)
 
 
 def _pchip_slopes(slopes):
@@ -198,8 +234,11 @@ class _PchipShift:
     order in the spacing.  Unlike linear interpolation this map is not
     linear in the data.  The foot rows and the Hermite basis weights depend
     only on the grid and are built once; a step computes the node
-    derivatives and gathers.
+    derivatives on its own ghost-extended line and gathers.  It is bound
+    as ``_LinearShift`` is, and reads no pad rows.
     """
+
+    lo = hi = 0
 
     def __init__(self, cells, n, bc):
         m = cells.size
@@ -240,20 +279,19 @@ class _PchipShift:
                            axis=0)
         return ye, d
 
-    def __call__(self, block):
-        r = block.shape[2]
-        y, d = (a.reshape(-1, r) for a in self._nodes(block))
+    def bind(self, src, out, tmp):
+        m = out.shape[1]
         rl, rr = self.rows
         h00, h10, h01, h11 = self.basis
-        return (np.take(y, rl, axis=0) * h00 + np.take(d, rl, axis=0) * h10
-                + np.take(y, rr, axis=0) * h01 + np.take(d, rr, axis=0) * h11)
 
+        def step():
+            y, d = (a.reshape(a.shape[0] * m, -1) for a in self._nodes(src))
+            out[...] = (
+                np.take(y, rl, axis=0) * h00 + np.take(d, rl, axis=0) * h10
+                + np.take(y, rr, axis=0) * h01 + np.take(d, rr, axis=0) * h11
+            ).reshape(out.shape)
 
-def _transport_plan(grid, dt, bc, interp):
-    """One shift per x-axis: x_a moves by dt * v_a, in cell units per v_a."""
-    shift = _LinearShift if interp == "linear" else _PchipShift
-    return [shift(dt * grid.v_axis[a] / grid.dx, grid.n_x, bc)
-            for a in range(grid.d)]
+        return step
 
 
 def _axes_first(ndim, *axes):
@@ -263,17 +301,50 @@ def _axes_first(ndim, *axes):
     return axes + tuple(i for i in range(ndim) if i not in axes)
 
 
-def _advect(f, plan):
-    """Shift each x-axis by dt * (matching v coordinate)."""
-    d = len(plan)
-    out = f
-    for a, shift in enumerate(plan):
-        # move x_a to axis 0 and v_a to axis 1, flatten the rest
-        order = _axes_first(out.ndim, a, d + a)
-        work = out.transpose(order)
-        shifted = shift(work.reshape(work.shape[0], work.shape[1], -1))
-        out = shifted.reshape(work.shape).transpose(np.argsort(order))
-    return out
+class _Transport:
+    """The x-transport of every step, and the slice it leaves behind.
+
+    The slice lives in one of two buffers, swapped by each shift.  Each is
+    a view in grid axis order on memory ordered v axes first, so the rows
+    of the v-diffusion sweep are contiguous at d = 1, and each x axis
+    carries the pad rows its shift reads (x_a moves by dt * v_a, in cell
+    units per v_a).  ``f`` is the current slice, the buffer's data rows;
+    whatever works on it in place keeps the pads.
+    """
+
+    def __init__(self, grid, dt, bc, interp):
+        d, n = grid.d, grid.n_x
+        ndim = 2 * d
+        shift = _LinearShift if interp == "linear" else _PchipShift
+        self.shifts = [shift(dt * grid.v_axis[a] / grid.dx, n, bc)
+                       for a in range(d)]
+        shape = [s.lo + n + s.hi for s in self.shifts] + [grid.n_v] * d
+        mem = tuple(range(d, ndim)) + tuple(range(d))  # v axes outermost
+        bufs = [np.zeros([shape[i] for i in mem]).transpose(np.argsort(mem))
+                for _ in range(2)]
+        data = tuple(slice(s.lo, s.lo + n) for s in self.shifts)
+        self.f_of = [b[data] for b in bufs]
+        tmp = np.empty_like(self.f_of[0])
+        # per parity of the buffer a step starts from, its shifts in turn,
+        # each from one buffer into the other, with x_a first and v_a second
+        self.steps = [[], []]
+        for p, a in itertools.product((0, 1), range(d)):
+            order = _axes_first(ndim, a, d + a)
+            src = data[:a] + (slice(None),) + data[a + 1:]
+            self.steps[p].append(self.shifts[a].bind(
+                bufs[(p + a) % 2][src].transpose(order),
+                self.f_of[(p + a + 1) % 2].transpose(order),
+                tmp.transpose(order)))
+        self.cur = 0
+
+    @property
+    def f(self):
+        return self.f_of[self.cur]
+
+    def __call__(self):
+        for step in self.steps[self.cur]:
+            step()
+        self.cur = (self.cur + len(self.shifts)) % 2
 
 
 def _harmonic(a, b):
@@ -320,8 +391,8 @@ def _tridiag_factor(lower, diag, upper):
 
 def _tridiag_apply(factor, x):
     """Forward and back substitution in place: x (rows along axis 0, each
-    row contiguous) holds the right-hand side on entry, the solution on
-    return.  The rows are short (one per v node, each as long as a line
+    of the shape of the factor's rows, in any layout) holds the right-hand
+    side on entry, the solution on return.  The rows are short (one per v node, each as long as a line
     of the other axes), so the sweep is dominated by the per-call cost of
     its ufuncs: they get their output positionally."""
     lower, cp, denom = factor
@@ -337,12 +408,6 @@ def _tridiag_apply(factor, x):
         mul(c, nxt, tmp)
         sub(row, tmp, row)
     return x
-
-
-def _lines(a, axis):
-    """A C-ordered copy of ``a`` with ``axis`` moved first, so that every
-    row of the solve along it is contiguous."""
-    return a.transpose(_axes_first(a.ndim, axis)).copy()
 
 
 def _upwind_drift(f, B, dt, dv, bc):
@@ -395,33 +460,34 @@ def solve(config: SolverConfig) -> ScalarField:
     dt, dv = g.dt, g.dv
     A, B, S = config.coeffs.A, config.coeffs.B, config.coeffs.S
     has_drift = config.coeffs.b_l1_max > 0.0  # B has no NaN (validated)
-    has_source = bool(np.any(S != 0.0))
+    has_source = bool(S.any())  # NaN counts as nonzero, as in S != 0
 
-    plan = _transport_plan(g, dt, config.bc_x, config.transport_interp)
+    transport = _Transport(g, dt, config.bc_x, config.transport_interp)
     r = dt / dv**2
+    lines = [_axes_first(2 * d, d + j) for j in range(d)]  # v_j first
     # per v-axis: the coefficient slice last factored, and its factor
     slices, factors = [None] * d, [None] * d
 
     traj = np.empty(g.shape)
-    f = config.initial.copy()
+    transport.f[...] = config.initial
     for n in range(g.n_t):
-        f = _advect(f, plan)
+        transport()
+        f = transport.f  # written in place from here on
         if has_drift:
-            f = _upwind_drift(f, B[n], dt, dv, config.bc_v)
+            np.copyto(f, _upwind_drift(f, B[n], dt, dv, config.bc_v))
         if d > 1:
-            f = _cross_diffusion(f, A[n], d, dt, dv)
+            np.copyto(f, _cross_diffusion(f, A[n], d, dt, dv))
         for j in range(d):
-            axis = f.ndim - d + j
             a_jj = A[n][..., j, j]
             # A >= lam > 0 (validated), so equal slices give equal factors
             if slices[j] is None or not np.array_equal(a_jj, slices[j]):
                 slices[j] = a_jj
-                factors[j] = _tridiag_factor(
-                    *_diffusion_bands(_lines(a_jj, axis), r, config.bc_v))
-            f = _tridiag_apply(factors[j], _lines(f, axis)).transpose(
-                np.argsort(_axes_first(f.ndim, axis)))
+                factors[j] = _tridiag_factor(*_diffusion_bands(
+                    np.ascontiguousarray(a_jj.transpose(lines[j])), r,
+                    config.bc_v))
+            _tridiag_apply(factors[j], f.transpose(lines[j]))
         if has_source:
-            f = f + dt * S[n]
+            np.add(f, dt * S[n], out=f)
         if not np.all(np.isfinite(f)):
             bad = int(np.count_nonzero(~np.isfinite(f)))
             raise NumericalAbort(

@@ -20,11 +20,12 @@ Q_- about 2% short).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .fields import (
     BoxCylinder,
@@ -89,6 +90,32 @@ N_LOCAL = (16, 24, 24)
 # ---------------------------------------------------------------------------
 
 
+def _axis_weights(nodes, c):
+    """Lower node index and weights (1 - y, y) of the linear interpolant
+    along one axis at coordinates c, clamped to the nodes' hull: node i with
+    nodes[i] <= c < nodes[i + 1], the last interval for c at the top node,
+    and y = (c - nodes[i]) / (nodes[i + 1] - nodes[i]).  A NaN coordinate
+    gets a valid index and a NaN weight."""
+    c = np.clip(np.asarray(c, dtype=float), nodes[0], nodes[-1])
+    i = np.minimum(np.searchsorted(nodes, c, side="right") - 1, nodes.size - 2)
+    y = (c - nodes[i]) / (nodes[i + 1] - nodes[i])
+    return i, (1 - y, y)
+
+
+def _corners(weights, strides, axis=0, offset=0, weight=None):
+    """(flat offset, weight) of every corner of the interpolation cell, in
+    the order of ``itertools.product`` over the axes' (lower, upper) nodes;
+    a corner's weight is the product of its axis weights from the first axis
+    on, each partial product shared by the corners that extend it."""
+    if axis == len(weights):
+        yield offset, weight
+        return
+    for b, w in enumerate(weights[axis]):
+        yield from _corners(weights, strides, axis + 1,
+                            offset + b * strides[axis],
+                            w if weight is None else weight * w)
+
+
 def as_evaluator(f):
     """Turn a field into a callable (T, X, V) -> values.
 
@@ -96,27 +123,44 @@ def as_evaluator(f):
     their grid values (clamped to the grid hull, so evaluation slightly
     outside the node hull reuses the nearest values).  An evaluator takes
     coordinates of any shapes that broadcast against each other (full or
-    open, as ``Grid.sample`` passes them) and returns values of a shape
-    that broadcasts to their common batch shape.
+    open, as ``Grid.sample`` passes them) and returns values of their
+    common batch shape.
+
+    The interpolant has the bits of scipy's ``RegularGridInterpolator``
+    (linear) on the clamped points, computed on per-axis indices and
+    weights that broadcast: each axis finds them on its own coordinate
+    array (a line, on open coordinates), the flat index of a cell's lower
+    corner is their outer sum, and each corner, in the interpolator's
+    order, gathers its values at a constant offset from it and adds them
+    times its weight.  A NaN coordinate gives NaN.
     """
     if callable(f):
         return f
     if isinstance(f, ScalarField):
         g = f.grid
         axes = (g.t_nodes,) + tuple(g.x_axis) + tuple(g.v_axis)
-        interp = RegularGridInterpolator(
-            axes, f.values, method="linear", bounds_error=False, fill_value=None
-        )
-        lows = [a[0] for a in axes]
-        highs = [a[-1] for a in axes]
+        flat = f.values.reshape(-1)
+        strides = [math.prod(f.values.shape[a + 1:]) for a in range(len(axes))]
 
         def evaluate(T, X, V):
-            T, X, V = broadcast_coords(T, X, V)
-            pts = np.concatenate(
-                [T[..., None], X, V], axis=-1
-            ).reshape(-1, 1 + 2 * g.d)
-            pts = np.clip(pts, lows, highs)
-            return interp(pts).reshape(T.shape)
+            X, V = np.asarray(X, dtype=float), np.asarray(V, dtype=float)
+            coords = ([T] + [X[..., k] for k in range(g.d)]
+                      + [V[..., k] for k in range(g.d)])
+            lower, weights = zip(*map(_axis_weights, axes, coords))
+            base = functools.reduce(np.add, map(operator.mul, lower, strides))
+            value, term = np.empty(np.shape(base)), np.empty(np.shape(base))
+            for k, (offset, weight) in enumerate(_corners(weights, strides)):
+                # "clip" never clips here; it only spares take a buffer
+                np.take(flat[offset:], base, out=term, mode="clip")
+                term *= weight
+                if k:
+                    value += term
+                else:
+                    np.add(term, 0.0, out=value)  # the interpolator's 0 + t
+            for _, y in weights:
+                if y.size and np.isnan(np.min(y)):
+                    value[np.broadcast_to(np.isnan(y), value.shape)] = np.nan
+            return value
 
         return evaluate
     raise TypeError(f"cannot evaluate object of type {type(f)!r}")

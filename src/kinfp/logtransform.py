@@ -12,12 +12,14 @@ nonnegative supersolution f, g = G(eps + f) is large exactly where f is
 small, and the composed function satisfies an energy estimate whose
 numerical form is checked by :func:`energy_estimate_check`.
 
-Cost: ``log_transform`` evaluates G in place in the one array eps + f it
-allocates, next to one scratch array for (1 - t) and its square, and checks
-its input with min/max reductions, so no full-grid boolean temporaries are
-made.  ``energy_estimate_check`` takes |grad_v g|^2 only on the interior
-region's bounding index box (``fields.grad_v_sq_integral``); both give the
-bits of the whole-grid formulas.
+Cost: ``log_transform`` checks f itself with two reductions, a
+NaN-skipping minimum and a maximum (fl(eps + .) is monotone, so eps + f
+needs no pass of its own), then fills its output one time slice at a time:
+eps + f, then G in place with one slice of scratch, so each slice is
+worked on while it is in cache and no full-grid temporary is made.
+``energy_estimate_check`` takes |grad_v g|^2 only on the interior region's
+bounding index box (``fields.grad_v_sq_integral``).  Both give the bits of
+the whole-grid formulas.
 """
 
 from __future__ import annotations
@@ -49,13 +51,13 @@ def _as_positive(t):
     return t
 
 
-def _g_in_place(t: np.ndarray) -> np.ndarray:
-    """Overwrite a checked t with G(t) and return it: -ln t - u - u^2 / 2
-    with u = 1 - t, then zero where t >= 1.  Where t < 1, u >= 2^-53, so
-    u * u is a normal number and halving it is exact: this is
-    (-ln t - u) - (0.5 u) u bit for bit."""
+def _g_in_place(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Overwrite a checked t with G(t) and return it, with u an array of
+    t's shape for scratch: -ln t - u - u^2 / 2 with u = 1 - t, then zero
+    where t >= 1.  Where t < 1, u >= 2^-53, so u * u is a normal number and
+    halving it is exact: this is (-ln t - u) - (0.5 u) u bit for bit."""
     plateau = t >= 1.0
-    u = np.subtract(1.0, t, out=np.empty_like(t))  # an array at 0-d too
+    np.subtract(1.0, t, out=u)
     np.log(t, out=t)
     np.negative(t, out=t)
     np.subtract(t, u, out=t)
@@ -70,7 +72,7 @@ def g_eval(t):
     """G(t), truncated to zero for t > 1."""
     t = np.array(t, dtype=float)  # a copy: G is computed in place
     _check_positive(t)
-    return _g_in_place(t)
+    return _g_in_place(t, np.empty_like(t))  # an array at 0-d too
 
 
 def g_prime(t):
@@ -96,11 +98,18 @@ def log_transform(f: ScalarField, eps: float) -> ScalarField:
         raise ValueError(f"eps must lie in (0, 1/4], got {eps}")
     # fmin skips NaN, so a field with NaN and negative values is reported
     # as negative, and one with NaN alone fails the positivity check
-    if np.fmin.reduce(f.values, axis=None) < 0.0:
+    values = f.values
+    lo = np.fmin.reduce(values, axis=None)
+    if lo < 0.0:
         raise ValueError("log_transform requires a nonnegative field")
-    t = eps + f.values
-    _check_positive(t)
-    return ScalarField(f.grid, _g_in_place(t))
+    # t -> fl(eps + t) is monotone, so eps + f is checked at f's extrema:
+    # its least value lo, and its largest, which max returns as NaN if any
+    _check_positive(eps + np.array([lo, values.max()]))
+    g = np.empty_like(values)
+    u = np.empty_like(values[0])
+    for t, ft in zip(g, values):  # one time slice at a time
+        _g_in_place(np.add(eps, ft, out=t), u)
+    return ScalarField(f.grid, g)
 
 
 def energy_estimate_check(

@@ -194,6 +194,54 @@ def test_golden_trajectories(case):
     assert h.hexdigest()[:16] == GOLDEN[case]
 
 
+# Shifts of several cells per step, in both directions: two time steps over
+# (0.5, 1] take dt * |v| / dx from 0 up to 3.1-3.3 cells ("several") and up
+# to 11 cells, more than the whole x-line ("wrap"; its v-centres are off
+# zero, so the two directions reach different depths).  The CFL guard
+# keeps solves below 0.9 cells per step, so these runs raise its safety
+# share: the shift is exact for any length and the diffusion is implicit.
+LARGE_SHIFT_GRIDS = {
+    (1, "several"): Grid(BoxCylinder(0.5, 1.0, np.zeros(1), 6.0,
+                                     np.zeros(1), 5.0), 2, 32, 16),
+    (1, "wrap"): Grid(BoxCylinder(0.5, 1.0, np.zeros(1), 0.5,
+                                  np.full(1, 0.8), 5.0), 2, 8, 16),
+    (2, "several"): Grid(BoxCylinder(0.5, 1.0, np.zeros(2), 1.0,
+                                     np.zeros(2), 5.0), 2, 6, 8),
+    (2, "wrap"): Grid(BoxCylinder(0.5, 1.0, np.zeros(2), 0.25,
+                                  np.array([0.6, -0.9]), 5.0), 2, 4, 8),
+}
+
+# sha256 prefixes over every (bc_x, bc_v) pair, recorded with the solver
+# that gathered the shifted rows by index
+GOLDEN_LARGE_SHIFT = {
+    (1, "several", "linear"): "bfbc5f84cc61fe35",
+    (1, "several", "pchip"): "ea2824c71d4db7f7",
+    (1, "wrap", "linear"): "fc38f7b1a08879ec",
+    (1, "wrap", "pchip"): "ade3693fa4366352",
+    (2, "several", "linear"): "17e1314881f83621",
+    (2, "several", "pchip"): "80731824f55348f7",
+    (2, "wrap", "linear"): "d135decaae16aea8",
+    (2, "wrap", "pchip"): "97337895100b2bdf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_LARGE_SHIFT),
+                         ids=lambda case: "d{}-{}-{}".format(*case))
+def test_golden_large_shift_trajectories(case, monkeypatch):
+    d, name, interp = case
+    g = LARGE_SHIFT_GRIDS[d, name]
+    monkeypatch.setattr(fpsolver, "_CFL_SAFETY", 100.0)
+    c = make_coefficients(g, "checkerboard", 1.0, 4.0, cell_size=0.25)
+    h = hashlib.sha256()
+    for bc_x, bc_v in itertools.product(("dirichlet", "copy-out", "periodic"),
+                                        ("dirichlet", "zero-flux")):
+        init = np.random.default_rng(11).uniform(-0.5, 1.0, g.shape[1:])
+        f = solve(SolverConfig(g, c, init, bc_x=bc_x, bc_v=bc_v,
+                               transport_interp=interp))
+        h.update(f.values.tobytes())
+    assert h.hexdigest()[:16] == GOLDEN_LARGE_SHIFT[case]
+
+
 class TestKernelTracking:
     @pytest.mark.parametrize("interp,min_order", [("linear", 0.8),
                                                   ("pchip", 1.0)])

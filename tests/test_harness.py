@@ -6,6 +6,7 @@ import pytest
 from kinfp.fields import (
     BoxCylinder,
     Grid,
+    broadcast_coords,
     NegSobolevInput,
     ScalarField,
     VectorField,
@@ -17,6 +18,7 @@ from kinfp.fpsolver import Bump, SolverConfig, default_test_set, solve, weak_res
 from kinfp.geometry import (
     Cylinder,
     PhasePoint,
+    group_product,
     origin,
     pop_parameters,
     q_bar,
@@ -396,6 +398,133 @@ class TestHarnackAndHolder:
         assert res["constant"] and rep.passed
         assert res["osc"] == [0.0] * 5
         assert (rep.lhs, rep.rhs, rep.fitted_c) == (0.0, 0.0, None)
+
+
+def rgi_evaluator(f):
+    """The interpolant ``as_evaluator`` used to build, kept as the reference:
+    scipy's RegularGridInterpolator (linear, extrapolating) on points
+    clamped to the node hull; callables pass through."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    if callable(f):
+        return f
+    g = f.grid
+    axes = (g.t_nodes,) + tuple(g.x_axis) + tuple(g.v_axis)
+    interp = RegularGridInterpolator(axes, f.values, method="linear",
+                                     bounds_error=False, fill_value=None)
+    lows = [a[0] for a in axes]
+    highs = [a[-1] for a in axes]
+
+    def evaluate(T, X, V):
+        T, X, V = broadcast_coords(T, X, V)
+        pts = np.concatenate([T[..., None], X, V],
+                             axis=-1).reshape(-1, 1 + 2 * g.d)
+        return interp(np.clip(pts, lows, highs)).reshape(T.shape)
+
+    return evaluate
+
+
+class TestInterpolantReference:
+    """``as_evaluator`` gives the bits of the RegularGridInterpolator path
+    it replaced, on every kind of point its callers pass."""
+
+    @staticmethod
+    def field(d):
+        box = BoxCylinder(-1.0, 0.0, np.full(d, 0.2), 1.5, np.full(d, -0.3),
+                          2.0)
+        g = Grid(box, *((7, 9, 8) if d == 1 else (4, 5, 6)))
+        rng = np.random.default_rng(d)
+        return ScalarField(g, rng.uniform(-1.0, 2.0, g.shape))
+
+    @staticmethod
+    def assert_same_bits(f, *points):
+        got = np.asarray(as_evaluator(f)(*points))
+        want = rgi_evaluator(f)(*points)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def local_grid(d):
+        # reaches past the field's node hull on every axis
+        box = BoxCylinder(-1.2, 0.1, np.full(d, 0.5), 1.7, np.full(d, -0.1),
+                          2.4)
+        return Grid(box, *((6, 7, 9) if d == 1 else (3, 4, 5)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_open_and_full_coordinates(self, d):
+        f, lg = self.field(d), self.local_grid(d)
+        self.assert_same_bits(f, *lg.open_coords)
+        self.assert_same_bits(f, *lg.coords)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_framed_points(self, d):
+        f, lg = self.field(d), self.local_grid(d)
+        frame = PhasePoint(-0.03, np.full(d, 0.02), np.full(d, 0.4))
+        pts = broadcast_coords(*lg.open_coords)
+        self.assert_same_bits(f, *group_product(frame, PhasePoint(*pts)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_weak_harnack_in_a_frame(self, d, monkeypatch):
+        f = self.field(d)
+        frame = PhasePoint(-0.5, np.full(d, 0.1), np.full(d, -0.2))
+        kw = dict(d=d, frame=frame, n_local=(8, 6, 6) if d == 1 else (3, 4, 4))
+        got = verify_weak_harnack(f, **kw)
+        monkeypatch.setattr(harness, "as_evaluator", rgi_evaluator)
+        want = verify_weak_harnack(f, **kw)
+        assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_scattered_points_inside_and_outside_the_hull(self, d):
+        f = self.field(d)
+        rng = np.random.default_rng(10 + d)
+        T = rng.uniform(-1.5, 0.5, 400)
+        X = rng.uniform(-2.0, 2.5, (400, d))
+        V = rng.uniform(-3.0, 2.5, (400, d))
+        self.assert_same_bits(f, T, X, V)
+        self.assert_same_bits(f, T.reshape(20, 20), X.reshape(20, 20, d),
+                              V.reshape(20, 20, d))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nodes_and_upper_edges(self, d):
+        f = self.field(d)
+        g = f.grid
+        # every node, the lower and upper hull edges, and points exactly on
+        # them from outside
+        self.assert_same_bits(f, *g.coords)
+        for k in (0, -1):
+            edge_t = np.full(5, g.t_nodes[k])
+            edge_x = np.broadcast_to(g.x_axis[:, k], (5, d))
+            edge_v = np.broadcast_to(g.v_axis[:, k], (5, d))
+            self.assert_same_bits(f, edge_t, edge_x, edge_v)
+            self.assert_same_bits(f, edge_t, np.nextafter(edge_x, 0.0),
+                                  np.nextafter(edge_v, 9.0))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nan_coordinates(self, d):
+        f = self.field(d)
+        T = np.array([-0.5, np.nan, -0.2, -0.7, -np.nan])
+        X = np.full((5, d), 0.1)
+        V = np.full((5, d), -0.2)
+        X[2, 0] = np.nan
+        V[3, d - 1] = -np.nan
+        self.assert_same_bits(f, T, X, V)
+        assert np.isnan(as_evaluator(f)(T, X, V)[1:]).all()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_negative_zero_field(self, d):
+        # the interpolator's sum starts from +0.0, so every corner term
+        # being -0.0 still gives +0.0
+        g = self.field(d).grid
+        f = ScalarField(g, np.full(g.shape, -0.0))
+        self.assert_same_bits(f, *self.local_grid(d).open_coords)
+        assert not np.signbit(as_evaluator(f)(-0.5, np.zeros(d), np.zeros(d)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_dimensional_point(self, d):
+        f = self.field(d)
+        self.assert_same_bits(f, -0.4, np.full(d, 0.3), np.full(d, -0.6))
+        self.assert_same_bits(f, np.float64(-2.0), np.full(d, 9.0),
+                              np.full(d, -9.0))
 
 
 class TestOpenCoordinates:

@@ -178,7 +178,10 @@ class TestLogTransform:
                 tracemalloc.stop()
 
         gg = log_transform(f, 0.1)
-        assert peak(lambda: log_transform(f, 0.1)) <= 2.5
+        # the output, the boolean mask of the output field's finiteness
+        # check (1/8 of a field) and the per-slice scratch; a full-size
+        # scratch array would take one field more
+        assert peak(lambda: log_transform(f, 0.1)) <= 1.125 + 2.0 / g.n_t
         assert peak(lambda: energy_estimate_check(
             gg, inner, g.domain, eps=0.1, source_sup=0.0, lam=1.0)) <= 1.0
 
