@@ -425,6 +425,9 @@ def h_minus1_norm(H: ScalarField | NegSobolevInput, region: Region | None = None
     return float(np.sqrt(energy.sum() * grid.dt * grid.dx**d))
 
 
+_SLACK = 1e-12  # roundoff allowed on the ellipticity bounds in ``validate``
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Measurable coefficients A(z), B(z), S(z) with ellipticity bounds.
@@ -453,12 +456,12 @@ class CoefficientField:
             raise ValueError("ellipticity bounds must satisfy 0 < lam <= Lam")
         self.validate()
 
-    def validate(self, slack: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Raise ValueError unless A is symmetric with spectrum in
-        [lam, Lam] and |B| <= Lam at every node (NaN fails every test);
-        set ``b_l1_max`` to the largest l1 norm of B.  At d = 1 A is 1x1, so
-        it is symmetric by shape and its entry is its eigenvalue, and both
-        norms of B are |B|."""
+        [lam, Lam] and |B| <= Lam at every node, up to ``_SLACK`` (NaN fails
+        every test); set ``b_l1_max`` to the largest l1 norm of B.  At d = 1
+        A is 1x1, so it is symmetric by shape and its entry is its
+        eigenvalue, and both norms of B are |B|."""
         if self.grid.d == 1:
             eig = self.A[..., 0, 0]
             # the largest |B| as two reductions, with no |B| temporary
@@ -470,12 +473,12 @@ class CoefficientField:
             eig = np.linalg.eigvalsh(self.A)
             b_max = float(np.sqrt((self.B**2).sum(axis=-1)).max())
         lo, hi = eig.min(), eig.max()
-        if not (lo >= self.lam - slack and hi <= self.Lam + slack):
+        if not (lo >= self.lam - _SLACK and hi <= self.Lam + _SLACK):
             raise ValueError(
                 f"eigenvalues of A in [{lo:.3e}, {hi:.3e}] "
                 f"escape [{self.lam}, {self.Lam}]"
             )
-        if not b_max <= self.Lam + slack:
+        if not b_max <= self.Lam + _SLACK:
             raise ValueError("|B| exceeds the upper ellipticity bound")
         b_l1_max = (b_max if self.grid.d == 1
                     else float(np.abs(self.B).sum(axis=-1).max()))

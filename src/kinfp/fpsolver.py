@@ -392,9 +392,10 @@ def _tridiag_factor(lower, diag, upper):
 def _tridiag_apply(factor, x):
     """Forward and back substitution in place: x (rows along axis 0, each
     of the shape of the factor's rows, in any layout) holds the right-hand
-    side on entry, the solution on return.  The rows are short (one per v node, each as long as a line
-    of the other axes), so the sweep is dominated by the per-call cost of
-    its ufuncs: they get their output positionally."""
+    side on entry, the solution on return.  The rows are short (one per v
+    node, each as long as a line of the other axes), so the sweep is
+    dominated by the per-call cost of its ufuncs: they get their output
+    positionally."""
     lower, cp, denom = factor
     mul, sub, div = np.multiply, np.subtract, np.divide
     rows = list(x)

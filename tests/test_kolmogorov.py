@@ -138,6 +138,7 @@ class TestSolveCauchy:
     def test_zero_rhs(self):
         g = self.grid((16, 16, 8))
         h = solve_cauchy(ScalarField(g, np.zeros(g.shape)))
+        assert h.grid == g
         assert np.all(h.values == 0.0)
 
     def test_comparison_principle(self):
@@ -146,8 +147,9 @@ class TestSolveCauchy:
         base = rng.uniform(0, 1, g.shape)
         lo = ScalarField(g, base)
         hi = ScalarField(g, base + rng.uniform(0, 1, g.shape))
-        h_lo = solve_cauchy(lo, boundary_tol=np.inf)
-        h_hi = solve_cauchy(hi, boundary_tol=np.inf)
+        h_lo = solve_cauchy(lo)
+        h_hi = solve_cauchy(hi)
+        assert h_lo.grid == g and h_hi.grid == g
         assert np.all(h_hi.values >= h_lo.values - 1e-12)
 
     def test_duhamel_against_kernel(self):
@@ -162,7 +164,7 @@ class TestSolveCauchy:
             T, X, V = g.coords
             rhs = np.zeros(g.shape)
             rhs[0] = kernel_eval(T[0], X[0], V[0], _origin(1)) / g.dt
-            h = solve_cauchy(ScalarField(g, rhs), boundary_tol=np.inf)
+            h = solve_cauchy(ScalarField(g, rhs))
             exact = kernel_eval(T[-1], X[-1], V[-1], _origin(1))
             err = float(np.sum(np.abs(h.values[-1] - exact))
                         * g.dx * g.dv)
@@ -344,14 +346,12 @@ class TestLocalization:
             "min_P_Q1": 0.0, "sup_E_Q1": 0.0, "sup_E_abs": 0.0, "c_e": 0.0,
             "passed_h": True, "passed_P": True, "passed_E": True,
             "decomposition_error": 0.0,
+            "shell_h": 0.0, "shell_P": 0.0, "shell_E": 0.0,
         }
 
     def test_indicator_pipeline(self):
         eta = pop_parameters(0.5).eta
-        g = localization_grid(eta)
-        T, X, V = g.coords
-        f = ScalarField(g, (V[..., 0] >= 0.25).astype(float))
-        out = localization_bound(f, eta)
+        out = localization_bound(indicator_fixture(eta), eta)
         assert out["zero_fraction"] >= 0.25
         assert out["passed_h"], out["sup_h_Q1"]
         assert out["sup_h_Q1"] <= out["theta0"] * out["sup_f"] + 1e-12
@@ -366,6 +366,55 @@ class TestLocalization:
                 r"^zero-set hypothesis fails: fraction 0\.000 < 0\.25$")) as err:
             localization_bound(f, eta)
         assert isinstance(err.value, ValueError)
+
+
+def face_loop_shell_share(values):
+    """The boundary-shell share as the removed truncation gate computed it:
+    a mask set face by face on every x and v axis, gathered in C order."""
+    total = float(np.sum(np.abs(values)))
+    if total == 0.0:
+        return 0.0
+    shell = np.zeros(values.shape, dtype=bool)
+    for ax in range(1, values.ndim):
+        idx_lo = [slice(None)] * values.ndim
+        idx_hi = [slice(None)] * values.ndim
+        idx_lo[ax] = 0
+        idx_hi[ax] = -1
+        shell[tuple(idx_lo)] = True
+        shell[tuple(idx_hi)] = True
+    return float(np.sum(np.abs(values[shell]))) / total
+
+
+def indicator_fixture(eta):
+    g = localization_grid(eta)
+    T, X, V = g.coords
+    return ScalarField(g, (V[..., 0] >= 0.25).astype(float))
+
+
+class TestShellShares:
+    @pytest.mark.parametrize("fixture", ["indicator", "golden R=3"])
+    def test_shares_equal_the_face_loop(self, fixture):
+        eta = pop_parameters(0.5).eta
+        if fixture == "indicator":
+            f, R = indicator_fixture(eta), 1.0
+        else:
+            f, R = golden_fixture(eta, 3.0), 3.0
+        out = localization_bound(f, eta, R=R)
+        for share, field in (("shell_h", "h"), ("shell_P", "P_R"),
+                             ("shell_E", "E_R")):
+            want = face_loop_shell_share(out[field].values)
+            assert out[share] == want, share
+            assert 0.0 < out[share] < 1.0, share
+
+    def test_local_poincare_reports_the_shell_share_of_h(self):
+        eta = pop_parameters(0.5).eta
+        f = golden_fixture(eta, 1.0)
+        g = f.grid
+        H = NegSobolevInput(ScalarField(g, np.zeros(g.shape)),
+                            VectorField(g, np.zeros(g.shape + (1,))))
+        rep = verify_local_poincare(f, H, build_cutoff(eta, eta**2 / 8, 1.0))
+        out = localization_bound(f, eta)
+        assert rep.details["shell_h"] == face_loop_shell_share(out["h"].values)
 
 
 def golden_fixture(eta, R):
@@ -402,6 +451,13 @@ class TestCutoffGolden:
         3.0: ("8894959e67aa9920", "de9b921ee6651381", "ebfee64f0f6b8b37",
               "a9a7d1edeaa26099"),
     }
+    # R: every scalar the result dict held before it reported the shell
+    # shares, in this order, recorded with the gated solve
+    SCALAR_KEYS = ("theta0", "delta0", "log_kernel_min", "R", "eta", "T",
+                   "sup_f", "zero_fraction", "sup_h_Q1", "min_P_Q1",
+                   "sup_E_Q1", "sup_E_abs", "c_e", "passed_h", "passed_P",
+                   "passed_E", "decomposition_error")
+    SCALARS = {1.0: "19ce372937163441", 3.0: "d4c2374ed4824dd5"}
     # R: (lhs, rhs, sup |grad_v Psi|), on the R = 1 fixture
     LOCAL_POINCARE = {1.0: "0f5aa95e460a8dc2", 3.0: "7447ecde0954cb1d"}
 
@@ -413,6 +469,7 @@ class TestCutoffGolden:
         got = tuple(digest(a) for a in (out["h"].values, out["P_R"].values,
                                         out["E_R"].values, out["c_e"]))
         assert got == self.LOCALIZATION[R]
+        assert digest(*(out[k] for k in self.SCALAR_KEYS)) == self.SCALARS[R]
         assert "coords" not in f.grid.__dict__
 
     @pytest.mark.parametrize("R", [1.0, 3.0])
