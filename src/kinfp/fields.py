@@ -7,6 +7,14 @@ by cell-center counting, which is first order in the spacing and makes no
 smoothness assumption on the sampled function -- the natural choice for
 merely measurable data.
 
+A region is read on a grid in one of two ways.  ``norms`` (and
+``Grid.region_mask``) test every node with ``region.contains`` on the open
+coordinates; a verifier's local grid is the region's own box, where that
+is the cheaper way.  ``Grid.window`` finds the index box of the nodes in
+the region's box hull, padded by one cell, and tests only those: the
+dense-cylinder scan in ``inkspots`` reads small cylinders on a large grid
+through it, and ``grad_v_sq_integral`` takes its gradient only there.
+
 The negative-order Sobolev norm in the velocity variable is realized by a
 Dirichlet Poisson solve on the v-ball per (t, x) slice: the squared slice
 norm is the Dirichlet energy of the solution, aggregated in L^2 over the
@@ -35,7 +43,6 @@ __all__ = [
     "RegionNorms",
     "broadcast_coords",
     "grad_v",
-    "grad_v_sq",
     "grad_v_sq_integral",
     "h_minus1_norm",
     "make_coefficients",
@@ -162,6 +169,50 @@ class Grid:
         """Which nodes lie in the region, tested on the open coordinates so
         that no full-grid coordinate temporaries are built."""
         return region.contains(*self.open_coords)
+
+    def window(self, region: Region):
+        """(window, region.contains on the window's cell centers): the
+        window is the index box of the nodes in the region's box hull,
+        padded by one cell on every side, so no cell center outside it lies
+        in the region and each node inside has its neighbours in it (but
+        at the grid's edges, where the box is clipped).
+
+        For one region the window is a tuple of slices of the grid.  For a
+        batch of B regions it is a tuple of index arrays, one per grid
+        axis, that broadcast to the membership's shape (window shape) +
+        (B,): each region's window is padded to the longest one along every
+        axis, the padding reads False, and its indices are clipped to the
+        grid.  Either way ``values[window]`` lines up with the membership.
+        """
+        hull = region.box_hull()
+        spans = [(hull.t_min - self.dt, hull.t_max + self.dt)]
+        spans += [(hull.x_center[..., k] - hull.rx - self.dx,
+                   hull.x_center[..., k] + hull.rx + self.dx)
+                  for k in range(self.d)]
+        spans += [(hull.v_center[..., k] - hull.rv - self.dv,
+                   hull.v_center[..., k] + hull.rv + self.dv)
+                  for k in range(self.d)]
+        axes = (self.t_nodes, *self.x_axis, *self.v_axis)
+        lo = np.stack([np.searchsorted(ax, a)
+                       for ax, (a, _) in zip(axes, spans)], axis=-1)
+        hi = np.stack([np.searchsorted(ax, b)
+                       for ax, (_, b) in zip(axes, spans)], axis=-1)
+        batch = lo.shape[:-1]
+        width = (hi - lo).reshape(-1, len(axes)).max(axis=0, initial=0)
+        index, coords, valid = [], [], True
+        for a, ax in enumerate(axes):
+            shape = tuple(w if b == a else 1
+                          for b, w in enumerate(width)) + batch
+            idx = lo[..., a] + np.arange(width[a]).reshape(
+                (-1,) + (1,) * len(batch))
+            valid = valid & (idx < hi[..., a]).reshape(shape)
+            index.append(np.minimum(idx, ax.size - 1).reshape(shape))
+            coords.append(ax[index[-1]])
+        v0 = 1 + self.d  # the first v axis
+        X, V = (np.stack(np.broadcast_arrays(*c), axis=-1)
+                for c in (coords[1:v0], coords[v0:]))
+        inside = region.contains(coords[0], X, V) & valid
+        return (tuple(index) if batch else tuple(map(slice, lo, hi))), inside
 
     def sample(self, fn) -> "ScalarField":
         """Sample a callable fn(T, X, V) -> values at all nodes.
@@ -292,47 +343,27 @@ def grad_v(f: ScalarField) -> np.ndarray:
     return out
 
 
-def _grad_v_sq_values(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """|grad_v|^2 of node values laid out as on ``grid``, or on an index
-    box of it: the squared centred differences summed over the v axes."""
-    sq = None
-    for k in range(grid.d):
-        dk = np.gradient(values, grid.dv, axis=1 + grid.d + k)
+def grad_v_sq_integral(f: ScalarField, region: Region) -> float:
+    """The cell quadrature of |grad_v f|^2 over a region, with the gradient
+    taken only on the region's window (``Grid.window``).
+
+    The window's one-cell pad gives every node inside the region its v
+    neighbours, so ``np.gradient`` uses the centred formula there, and the
+    one-sided one at the grid's own v edges, as on the whole grid.  The
+    squares inside the region are summed in C order, the order in which
+    ``norms`` gathers them, so the result has the bits of ``norms`` over
+    the whole-grid |grad_v f|^2.  ValueError, as ``norms``, when no cell
+    center lies inside the region."""
+    g = f.grid
+    win, inside = g.window(region)
+    if not inside.any():
+        raise ValueError("region does not overlap the grid domain")
+    values, sq = f.values[win], None
+    for k in range(g.d):
+        dk = np.gradient(values, g.dv, axis=1 + g.d + k)
         np.square(dk, out=dk)
         sq = dk if sq is None else np.add(sq, dk, out=sq)
-    return sq
-
-
-def grad_v_sq(f: ScalarField) -> ScalarField:
-    """|grad_v f|^2 at every node."""
-    return ScalarField(f.grid, _grad_v_sq_values(f.values, f.grid))
-
-
-def grad_v_sq_integral(f: ScalarField, region: Region) -> float:
-    """``norms(grad_v_sq(f), region).integral`` bit for bit, with the
-    gradient taken only on the region's bounding index box.
-
-    The box is widened by one node along each v axis and clipped to the
-    grid, so ``np.gradient`` uses the centred formula at every interior
-    node of the box and the one-sided one at the grid's own v edges, as on
-    the whole grid.  The squares are summed over ``mask[box]`` in C order,
-    the order in which ``norms`` gathers them.  ValueError, as ``norms``,
-    when no cell center lies inside the region."""
-    g = f.grid
-    mask = g.region_mask(region)
-    if not mask.any():
-        raise ValueError("region does not overlap the grid domain")
-    box = []
-    for k, n in enumerate(mask.shape):
-        hit = np.flatnonzero(mask.any(axis=tuple(
-            j for j in range(mask.ndim) if j != k)))
-        lo, hi = int(hit[0]), int(hit[-1]) + 1
-        if k > g.d:  # a v axis
-            lo, hi = max(lo - 1, 0), min(hi + 1, n)
-        box.append(slice(lo, hi))
-    box = tuple(box)
-    sq = _grad_v_sq_values(f.values[box], g)
-    return float(sq[mask[box]].sum()) * g.cell_volume
+    return float(sq[inside].sum()) * g.cell_volume
 
 
 def _dirichlet_laplacian_1d(n: int, h: float) -> sp.csc_matrix:
@@ -388,7 +419,8 @@ def h_minus1_norm(H: ScalarField | NegSobolevInput, region: Region | None = None
     the weak identity int |grad u|^2 = int H u.  Slices are aggregated in
     L^2 with the (t, x) cell measure.  If a region is given, slices whose
     (t, x) cell centers fall outside its time interval and x-ball are
-    dropped.
+    dropped (each slice still spans the grid's whole v-ball), and, as in
+    ``norms``, ValueError when no slice is left.
     """
     grid = H.grid
     rhs = _weak_rhs(H)
@@ -420,6 +452,8 @@ def h_minus1_norm(H: ScalarField | NegSobolevInput, region: Region | None = None
         T, X, _ = grid.open_coords
         # one node per (t, x) slice, at the region's velocity center
         keep = region.contains(T, X, region.v_center).reshape(n_slices)
+        if not keep.any():
+            raise ValueError("region does not overlap the grid domain")
         energy = energy[keep]
 
     return float(np.sqrt(energy.sum() * grid.dt * grid.dx**d))
@@ -510,7 +544,9 @@ def make_coefficients(
     d = grid.d
     shape = grid.shape
     eye = np.eye(d)
-    S_arr = np.zeros(shape) if S is None else np.broadcast_to(np.asarray(S, float), shape).copy()
+    # a given S is kept as a read-only view: no code writes S
+    S_arr = (np.zeros(shape) if S is None
+             else np.broadcast_to(np.asarray(S, float), shape))
 
     if kind == "constant":
         mid = 0.5 * (lam + Lam)

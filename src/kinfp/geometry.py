@@ -343,6 +343,10 @@ class BoxCylinder:
     def contains_point(self, z: PhasePoint) -> bool:
         return _scalar_or_batch(self.contains(z.t, z.x, z.v))
 
+    def box_hull(self) -> "BoxCylinder":
+        """The box itself, so that every region type has a box hull."""
+        return self
+
     def volume(self) -> float:
         d = self.d
         return (self.t_max - self.t_min) * ball_volume(d, self.rx) * ball_volume(d, self.rv)

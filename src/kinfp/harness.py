@@ -34,7 +34,7 @@ from .fields import (
     RegionNorms,
     ScalarField,
     broadcast_coords,
-    grad_v_sq,
+    grad_v_sq_integral,
     h_minus1_norm,
     norms,
 )
@@ -329,7 +329,7 @@ class ExperimentEnsemble:
 def _poincare_rhs(f: ScalarField, H: NegSobolevInput) -> float:
     """|| grad_v f ||_{L2} + || H ||_{L2 H^-1}, both over f's whole grid."""
     ext = f.grid.domain
-    return math.sqrt(norms(grad_v_sq(f), ext).integral) + h_minus1_norm(H, ext)
+    return math.sqrt(grad_v_sq_integral(f, ext)) + h_minus1_norm(H, ext)
 
 
 def _require_transport_control(f: ScalarField, H: NegSobolevInput):

@@ -9,7 +9,9 @@ radius and its stacked extension lies in F, then
 Sets are boolean masks on a :class:`~kinfp.fields.Grid`; measures are cell
 counts times the cell volume.  Candidate cylinders are grid-aligned
 (centers on cell centers, radii from a supplied dyadic list) -- an
-implementation restriction recorded in every report.
+implementation restriction recorded in every report.  A cylinder or a
+stacked extension is read on the grid through its window
+(``Grid.window``): only the nodes of its padded box hull are tested.
 """
 
 from __future__ import annotations
@@ -237,50 +239,6 @@ def _cell_centers(grid: Grid) -> PhasePoint:
     return PhasePoint(*broadcast_coords(*grid.open_coords))
 
 
-def _index_window(grid: Grid, Q):
-    """Index bounds (lo, hi) of the nodes along each grid axis (t, x_1..,
-    v_1..) inside the box hull of the region Q, padded by one cell on every
-    side: integer arrays of shape Q's batch shape + (1 + 2d,)."""
-    hull = Q.box_hull()
-    spans = [(grid.t_nodes, hull.t_min - grid.dt, hull.t_max + grid.dt)]
-    spans += [(grid.x_axis[k], hull.x_center[..., k] - hull.rx - grid.dx,
-               hull.x_center[..., k] + hull.rx + grid.dx) for k in range(grid.d)]
-    spans += [(grid.v_axis[k], hull.v_center[..., k] - hull.rv - grid.dv,
-               hull.v_center[..., k] + hull.rv + grid.dv) for k in range(grid.d)]
-    lo = np.stack([np.searchsorted(ax, a) for ax, a, _ in spans], axis=-1)
-    hi = np.stack([np.searchsorted(ax, b) for ax, _, b in spans], axis=-1)
-    return lo, hi
-
-
-def _window_membership(grid: Grid, Q):
-    """(window, Q.contains on the window's cell centers) for a cylinder or
-    stacked cylinder Q; no cell center outside the window lies in Q.
-
-    For one region the window is a tuple of slices of the grid.  For a
-    batch of B regions it is a tuple of index arrays, one per grid axis,
-    that broadcast to the membership's shape (window shape) + (B,): each
-    region's window is padded to the longest one along every axis, the
-    padding reads False, and its indices are clipped to the grid.  Either
-    way ``mask[window]`` lines up with the membership.
-    """
-    lo, hi = _index_window(grid, Q)
-    axes = (grid.t_nodes, *grid.x_axis, *grid.v_axis)
-    batch = lo.shape[:-1]
-    width = (hi - lo).reshape(-1, len(axes)).max(axis=0, initial=0)
-    index, coords, valid = [], [], True
-    for a, ax in enumerate(axes):
-        shape = tuple(w if b == a else 1 for b, w in enumerate(width)) + batch
-        idx = lo[..., a] + np.arange(width[a]).reshape((-1,) + (1,) * len(batch))
-        valid = valid & (idx < hi[..., a]).reshape(shape)
-        index.append(np.minimum(idx, ax.size - 1).reshape(shape))
-        coords.append(ax[index[-1]])
-    v0 = 1 + grid.d  # the first v axis
-    X, V = (np.stack(np.broadcast_arrays(*c), axis=-1)
-            for c in (coords[1:v0], coords[v0:]))
-    inside = Q.contains(coords[0], X, V) & valid
-    return (tuple(index) if batch else tuple(map(slice, lo, hi))), inside
-
-
 # cylinders per batch of _mark_stacks: a batch's membership holds its
 # largest stack window once per cylinder
 _MARK_BATCH = 256
@@ -296,13 +254,13 @@ def _mark_stacks(mask: np.ndarray, grid: Grid, cylinders: list[Cylinder],
         group = list(group)
         for i in range(0, len(group), _MARK_BATCH):
             batch = _cylinder_batch(group[i:i + _MARK_BATCH])
-            win, inside = _window_membership(grid, batch.stacked(m))
+            win, inside = grid.window(batch.stacked(m))
             mask[tuple(j[inside] for j in np.broadcast_arrays(*win))] = True
 
 
 def _cell_counts(E: DiscreteSet, Q: Cylinder):
     """(cells of Q meeting E, cells of Q) by counting cell centers."""
-    win, inside = _window_membership(E.grid, Q)
+    win, inside = E.grid.window(Q)
     n_q = int(np.count_nonzero(inside))
     n_e = int(np.count_nonzero(E.mask[win] & inside))
     return n_e, n_q
@@ -529,7 +487,7 @@ def verify_inkspots(
                 f"dense cylinder of radius {Q.r} >= r0 = {r0} at "
                 f"(t={Q.center.t:.4f}, x={Q.center.x}, v={Q.center.v})"
             )
-        win, bar = _window_membership(E.grid, Q.stacked(m))
+        win, bar = E.grid.window(Q.stacked(m))
         if np.any(bar & ~F.mask[win]):
             raise HypothesisError(
                 f"stacked extension of the dense cylinder at "
@@ -601,15 +559,15 @@ def generate_hypothesis_pair(
         uniform_from(u[:, 1], -1.0 + radius_power(r, 2), 0.0),
         uniform_from(u[:, 2:2 + d], -0.5, 0.5),
         uniform_from(u[:, 2 + d:], -0.9 + rc, 0.9 - rc)), r)
-    _, padded = _window_membership(grid, candidates)
+    _, padded = grid.window(candidates)
     hits = (cylinder_in_cylinder(candidates, region)
             & np.any(padded, axis=tuple(range(padded.ndim - 1))))
     for i in np.flatnonzero(hits)[:k]:
         Q = candidates[i]
-        win, inside = _window_membership(grid, Q)
+        win, inside = grid.window(Q)
         e_mask[win] |= inside & level[win]
         f_mask[win] |= inside
-        win, bar = _window_membership(grid, Q.stacked(m))
+        win, bar = grid.window(Q.stacked(m))
         f_mask[win] |= bar
     e_mask &= _region_mask(grid, region)
     f_mask |= e_mask
@@ -624,7 +582,7 @@ def generate_hypothesis_pair(
             if not offenders:
                 break
             for Q in offenders:
-                win, inside = _window_membership(grid, Q)
+                win, inside = grid.window(Q)
                 e_mask[win] &= ~inside
             E = DiscreteSet(grid, e_mask, region)
     # enlargement sweep: the stacked extension of every remaining dense

@@ -415,7 +415,7 @@ def localization_bound(
 
     zero_frac = zero_fraction(f, eta, alpha0)
     sup_f = float(np.max(f.values))
-    mask_q1 = grid.region_mask(q_one(d))
+    q1 = q_one(d)
     pars = theta0_parameters(eta, d)
     theta0, delta0 = pars["theta0"], pars["delta0"]
     log_m = pars["log_kernel_min"]
@@ -431,9 +431,9 @@ def localization_bound(
     # |E_R| <= (time span) * sup|rhs| and sup|rhs| <= sup f * sup|Lap_v Psi1| / R^2
     c_e = (1.0 + eta**2) * sup_f * float(np.max(np.abs(psi.lap_v1)))
 
-    sup_h_q1 = float(np.max(h.values[mask_q1]))
-    min_p_q1 = float(np.min(p_r.values[mask_q1]))
-    sup_e_q1 = float(np.max(e_r.values[mask_q1]))
+    sup_h_q1 = norms(h, q1).sup
+    min_p_q1 = norms(p_r, q1).inf
+    sup_e_q1 = norms(e_r, q1).sup
     sup_e_abs = float(np.max(np.abs(e_r.values)))
     recon = psi.psi * sup_f - p_r.values + e_r.values
     decomposition_error = float(np.max(np.abs(h.values - recon)))

@@ -18,8 +18,8 @@ needs no pass of its own), then fills its output one time slice at a time:
 eps + f, then G in place with one slice of scratch, so each slice is
 worked on while it is in cache and no full-grid temporary is made.
 ``energy_estimate_check`` takes |grad_v g|^2 only on the interior region's
-bounding index box (``fields.grad_v_sq_integral``).  Both give the bits of
-the whole-grid formulas.
+window of the grid (``fields.grad_v_sq_integral``, over ``Grid.window``).
+Both give the bits of the whole-grid formulas.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ def energy_estimate_check(
           + |exterior| * (1 + source_sup / eps).
 
     Both sides are cell quadratures on g's grid.  The gradient is taken
-    only on the interior region's bounding index box, with the bits of the
-    whole-grid ``norms(grad_v_sq(g), region_interior).integral``.  The
+    only on the interior region's window of the grid, with the bits of the
+    quadrature of the whole-grid |grad_v g|^2 over it.  The
     report records the fitted constant lhs / rhs; it is flagged degenerate
     when rhs vanishes.
     """

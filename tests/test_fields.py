@@ -13,7 +13,6 @@ from kinfp.fields import (
     ScalarField,
     VectorField,
     grad_v,
-    grad_v_sq,
     grad_v_sq_integral,
     h_minus1_norm,
     make_coefficients,
@@ -269,7 +268,8 @@ class TestRegionQuadrature:
         assert G.shape == g.shape + (2,)
         assert np.allclose(G[..., 0], 3.0, rtol=0, atol=1e-12)
         assert np.allclose(G[..., 1], -2.0, rtol=0, atol=1e-12)
-        assert np.allclose(grad_v_sq(f).values, 13.0, rtol=0, atol=1e-11)
+        assert grad_v_sq_integral(f, g.domain) == pytest.approx(
+            13.0 * norms(f, g.domain).measure, rel=1e-12)
 
 
 def random_boxes(rng, domain, count):
@@ -304,10 +304,76 @@ def reference_grad_v_sq(f):
     return ScalarField(f.grid, sq.sum(axis=-1))
 
 
+def random_cylinders(rng, d, n):
+    """n slanted cylinders as one batch, some reaching past the edges of a
+    grid over (-1, 0.3] x B_2 x B_1 and some wholly off it."""
+    t = rng.uniform(-1.2, 0.5, n)
+    x = rng.uniform(-2.5, 2.5, (n, d))
+    v = rng.uniform(-1.2, 1.2, (n, d))
+    t[:3], x[3:6], v[6:9] = 5.0, 10.0, -5.0  # off the grid
+    r = rng.choice([1.0, 0.75, 0.5, 0.3, 0.1], n)
+    return Cylinder(PhasePoint(t, x, v), r)
+
+
+def box_batch(boxes):
+    """A list of boxes as one batch of boxes."""
+    return BoxCylinder(*(np.array([getattr(b, k) for b in boxes])
+                         for k in ("t_min", "t_max", "x_center", "rx",
+                                   "v_center", "rv")))
+
+
+class TestWindow:
+    """``Grid.window`` against ``region.contains`` on the full-grid
+    coordinates, one region at a time and as one batch of padded windows,
+    for cylinders, their stacks and boxes; ``grad_v_sq_integral`` on each
+    window against the whole-grid quadrature, compared with ==."""
+
+    @pytest.mark.parametrize("d, n", [(1, (20, 12, 10)), (2, (8, 6, 6))],
+                             ids=["d1", "d2"])
+    def test_matches_full_grid(self, d, n):
+        domain = BoxCylinder(-1.0, 0.3, np.zeros(d), 2.0, np.zeros(d), 1.0)
+        g = Grid(domain, *n)
+        T, X, V = g.coords
+        rng = np.random.default_rng(3 + d)
+        f = ScalarField(g, rng.normal(size=g.shape))
+        sq = reference_grad_v_sq(f)
+        Q = random_cylinders(rng, d, 200)
+        boxes = list(random_boxes(rng, domain, 60))
+        boxes.append(BoxCylinder(5.0, 6.0, np.zeros(d), 1.0, np.zeros(d), 1.0))
+        cases = [(Q, [Q[i] for i in range(200)])]
+        cases += [(Q.stacked(m), [Q[i].stacked(m) for i in range(200)])
+                  for m in (1, 3)]
+        cases.append((box_batch(boxes), boxes))
+        hit = miss = 0
+        for regions, singles in cases:
+            _, padded = g.window(regions)
+            for i, region in enumerate(singles):
+                full = region.contains(T, X, V)
+                win, inside = g.window(region)
+                assert np.array_equal(full[win], inside)
+                assert np.count_nonzero(inside) == np.count_nonzero(full)
+                window = tuple(slice(0, w) for w in inside.shape)
+                assert np.array_equal(padded[window + (i,)], inside)
+                assert (np.count_nonzero(padded[..., i])
+                        == np.count_nonzero(inside))
+                if full.any():
+                    hit += 1
+                    assert (grad_v_sq_integral(f, region)
+                            == norms(sq, region).integral)
+                    continue
+                miss += 1
+                with pytest.raises(ValueError, match="does not overlap"):
+                    grad_v_sq_integral(f, region)
+        assert hit > 250 and miss > 30
+        # regions wholly off the grid have empty windows
+        for region in (Q[0], Q[3].stacked(3), Q[6], boxes[-1]):
+            assert g.window(region)[1].size == 0
+
+
 class TestGradVSqIntegral:
-    """``grad_v_sq`` and the interior-box integral against the stacked
-    gradient reference and its whole-grid quadrature
-    ``norms(reference_grad_v_sq(f), region).integral``, compared with ==."""
+    """The windowed integral against the stacked gradient reference and its
+    whole-grid quadrature ``norms(reference_grad_v_sq(f), region).integral``,
+    compared with ==."""
 
     @pytest.mark.parametrize("d, n", [(1, (7, 9, 8)), (1, (5, 12, 2)),
                                       (2, (4, 5, 6)), (2, (3, 4, 3))])
@@ -318,7 +384,6 @@ class TestGradVSqIntegral:
         g = Grid(domain, *n)
         f = ScalarField(g, rng.normal(size=g.shape))
         sq = reference_grad_v_sq(f)
-        assert grad_v_sq(f).values.tobytes() == sq.values.tobytes()
         checked, touched = 0, set()
         for box in random_boxes(rng, domain, 200):
             mask = g.region_mask(box)
@@ -435,6 +500,15 @@ class TestHMinus1:
         assert h_minus1_norm(h0) == 0.40131344212738196
         assert h_minus1_norm(NegSobolevInput(h0, h1)) == 2.3416050291202044
 
+    def test_region_off_the_grid(self):
+        # no (t, x) slice of a grid over (-1, 0] lies in a box over (5, 6]
+        g = unit_grid(n=(4, 4, 8))
+        f = ScalarField(g, np.ones(g.shape))
+        with pytest.raises(ValueError, match="does not overlap"):
+            h_minus1_norm(f, BoxCylinder(5, 6, 0, 1, 0, 1))
+        with pytest.raises(ValueError, match="does not overlap"):
+            norms(f, BoxCylinder(5, 6, 0, 1, 0, 1))
+
     def test_pair_form_matches_raw_for_h1_zero(self):
         g = unit_grid(n=(4, 4, 24))
         rng = np.random.default_rng(1)
@@ -450,6 +524,16 @@ class TestCoefficients:
         c = make_coefficients(g, "constant", 1.0, 1.0)
         assert np.allclose(c.A[..., 0, 0], 1.0)
         assert np.allclose(c.B, 0.0)
+
+    @pytest.mark.parametrize("kind", ["constant", "checkerboard", "random"])
+    def test_source_kept_as_read_only_view(self, kind):
+        g = unit_grid(n=(4, 6, 6))
+        S = np.random.default_rng(1).normal(size=g.shape)
+        c = make_coefficients(g, kind, 1.0, 2.0, S=S)
+        assert np.shares_memory(c.S, S) and not c.S.flags.writeable
+        assert c.S.tobytes() == S.tobytes()
+        scalar = make_coefficients(g, kind, 1.0, 2.0, S=0.5).S
+        assert scalar.shape == g.shape and np.all(scalar == 0.5)
 
     def test_checkerboard_spectrum(self):
         g = unit_grid(n=(4, 8, 8))

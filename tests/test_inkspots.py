@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kinfp.inkspots as inkspots
+from kinfp.fields import Grid
 from kinfp.geometry import Cylinder, PhasePoint, cylinder_in_cylinder
 from kinfp.inkspots import (
     DiscreteSet,
     _default_radii,
     _dense_counts_1d,
     _mark_stacks,
-    _window_membership,
     find_dense_cylinders,
     generate_hypothesis_pair,
     mask_to_rle,
@@ -177,35 +177,6 @@ class TestFindDenseCylinders:
         n_e, n_q = _dense_counts_1d(E, r)
         ref_e, ref_q = brute_force_counts(E, r)
         assert np.array_equal(n_q, ref_q) and np.array_equal(n_e, ref_e)
-
-    def test_window_membership_matches_full_grid(self):
-        # cylinders (m = None) and stacks over them, some reaching past the
-        # grid's edges; one by one and as one batch of padded windows
-        g = standard_grid((20, 12, 10), t_max=0.3)
-        T, X, V = g.coords
-        rng = np.random.default_rng(3)
-        n = 200
-        t, x, v, r = [], [], [], []
-        for _ in range(n):  # one cylinder at a time: t0, x0, v0, r
-            t.append(float(rng.uniform(-1.2, 0.5)))
-            x.append(rng.uniform(-2.5, 2.5, size=1))
-            v.append(rng.uniform(-1.2, 1.2, size=1))
-            r.append(float(rng.choice([1.0, 0.75, 0.5, 0.3, 0.1])))
-        Q = Cylinder(PhasePoint(np.array(t), np.array(x), np.array(v)),
-                     np.array(r))
-        for m in (None, 1, 3):
-            regions = Q if m is None else Q.stacked(m)
-            _, padded = _window_membership(g, regions)
-            for i in range(n):
-                region = Q[i] if m is None else Q[i].stacked(m)
-                full = region.contains(T, X, V)
-                win, inside = _window_membership(g, region)
-                assert np.array_equal(full[win], inside)
-                assert np.count_nonzero(inside) == np.count_nonzero(full)
-                window = tuple(slice(0, w) for w in inside.shape)
-                assert np.array_equal(padded[window + (i,)], inside)
-                assert (np.count_nonzero(padded[..., i])
-                        == np.count_nonzero(inside))
 
 
 class TestBoxedCounts:
@@ -436,7 +407,7 @@ class TestMarkStacks:
         dense = find_dense_cylinders(E, 0.3, [0.5, 0.3])
         single = np.zeros(g.shape, dtype=bool)
         for Q in dense:
-            win, bar = _window_membership(g, Q.stacked(3))
+            win, bar = g.window(Q.stacked(3))
             single[win] |= bar
         return g, dense, single
 
@@ -458,11 +429,13 @@ class TestMarkStacks:
         monkeypatch.setattr("kinfp.inkspots._MARK_BATCH", bound)
         seen = []
 
+        window = Grid.window
+
         def recording(grid, Q):
             seen.append((set(np.ravel(Q.base.r).tolist()), np.size(Q.base.r)))
-            return _window_membership(grid, Q)
+            return window(grid, Q)
 
-        monkeypatch.setattr("kinfp.inkspots._window_membership", recording)
+        monkeypatch.setattr(Grid, "window", recording)
         batched = np.zeros(g.shape, dtype=bool)
         _mark_stacks(batched, g, dense, 3)
         assert np.array_equal(batched, single)
