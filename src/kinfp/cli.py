@@ -386,8 +386,7 @@ def _run_minima_measure(cfg: ExperimentConfig) -> list[dict]:
     for i in range(int(cfg.params["count"])):
         seed = cfg.seed * 1013 + i
         f0, _ = make_kernel_mixture(seed, d=cfg.d, pole_time=(-8.0, -4.0))
-        # normalize on the same local grid the verifier samples
-        f = normalize_by_infimum(f0, q_bar(m, cfg.d), N_LOCAL)
+        f = normalize_by_infimum(f0, q_bar(m, cfg.d))
         vals = local_norms(f, q_one(cfg.d), N_LOCAL).values
         M = float(np.quantile(vals, 0.45))
         rows.append(_row("minima-measure", i, seed,

@@ -7,13 +7,10 @@ by cell-center counting, which is first order in the spacing and makes no
 smoothness assumption on the sampled function -- the natural choice for
 merely measurable data.
 
-A region is read on a grid in one of two ways.  ``norms`` (and
-``Grid.region_mask``) test every node with ``region.contains`` on the open
-coordinates; a verifier's local grid is the region's own box, where that
-is the cheaper way.  ``Grid.window`` finds the index box of the nodes in
-the region's box hull, padded by one cell, and tests only those: the
-dense-cylinder scan in ``inkspots`` reads small cylinders on a large grid
-through it, and ``grad_v_sq_integral`` takes its gradient only there.
+A region is read on a grid one way: ``Grid.window`` finds the index box of
+the nodes in the region's box hull, padded by one cell, and tests only
+those with ``region.contains``.  ``norms``, ``grad_v_sq_integral`` and the
+dense-cylinder scan in ``inkspots`` read regions through it.
 
 The negative-order Sobolev norm in the velocity variable is realized by a
 Dirichlet Poisson solve on the v-ball per (t, x) slice: the squared slice
@@ -165,11 +162,6 @@ class Grid:
                               self._axis_lines(self.v_axis, 1 + self.d)))
         return np.broadcast_to(self.open_coords[0], shape), X, V
 
-    def region_mask(self, region: Region) -> np.ndarray:
-        """Which nodes lie in the region, tested on the open coordinates so
-        that no full-grid coordinate temporaries are built."""
-        return region.contains(*self.open_coords)
-
     def window(self, region: Region):
         """(window, region.contains on the window's cell centers): the
         window is the index box of the nodes in the region's box hull,
@@ -177,27 +169,30 @@ class Grid:
         in the region and each node inside has its neighbours in it (but
         at the grid's edges, where the box is clipped).
 
-        For one region the window is a tuple of slices of the grid.  For a
-        batch of B regions it is a tuple of index arrays, one per grid
-        axis, that broadcast to the membership's shape (window shape) +
-        (B,): each region's window is padded to the longest one along every
-        axis, the padding reads False, and its indices are clipped to the
-        grid.  Either way ``values[window]`` lines up with the membership.
+        For one region the window is a tuple of slices of the grid (and of
+        ``open_coords``).  For a batch of B regions it is a tuple of index
+        arrays, one per grid axis, that broadcast to the membership's shape
+        (window shape) + (B,): each region's window is padded to the longest
+        one along every axis, the padding reads False, and its indices are
+        clipped to the grid.  Either way ``values[window]`` lines up with
+        the membership.
         """
         hull = region.box_hull()
         spans = [(hull.t_min - self.dt, hull.t_max + self.dt)]
-        spans += [(hull.x_center[..., k] - hull.rx - self.dx,
-                   hull.x_center[..., k] + hull.rx + self.dx)
-                  for k in range(self.d)]
-        spans += [(hull.v_center[..., k] - hull.rv - self.dv,
-                   hull.v_center[..., k] + hull.rv + self.dv)
-                  for k in range(self.d)]
+        for c, r, h in ((hull.x_center, hull.rx, self.dx),
+                        (hull.v_center, hull.rv, self.dv)):
+            spans += [(c[..., k] - r - h, c[..., k] + r + h)
+                      for k in range(self.d)]
         axes = (self.t_nodes, *self.x_axis, *self.v_axis)
-        lo = np.stack([np.searchsorted(ax, a)
-                       for ax, (a, _) in zip(axes, spans)], axis=-1)
-        hi = np.stack([np.searchsorted(ax, b)
-                       for ax, (_, b) in zip(axes, spans)], axis=-1)
+        lo, hi = np.stack([np.searchsorted(ax, span)
+                           for ax, span in zip(axes, spans)], axis=-1)
         batch = lo.shape[:-1]
+        v0 = 1 + self.d  # the first v axis
+        if not batch:
+            win, (T, X, V) = tuple(map(slice, lo, hi)), self.open_coords
+            every = (slice(None),) * v0
+            return win, region.contains(T[win[0]], X[every[:1] + win[1:v0]],
+                                        V[every + win[v0:]])
         width = (hi - lo).reshape(-1, len(axes)).max(axis=0, initial=0)
         index, coords, valid = [], [], True
         for a, ax in enumerate(axes):
@@ -208,11 +203,9 @@ class Grid:
             valid = valid & (idx < hi[..., a]).reshape(shape)
             index.append(np.minimum(idx, ax.size - 1).reshape(shape))
             coords.append(ax[index[-1]])
-        v0 = 1 + self.d  # the first v axis
         X, V = (np.stack(np.broadcast_arrays(*c), axis=-1)
                 for c in (coords[1:v0], coords[v0:]))
-        inside = region.contains(coords[0], X, V) & valid
-        return (tuple(index) if batch else tuple(map(slice, lo, hi))), inside
+        return tuple(index), region.contains(coords[0], X, V) & valid
 
     def sample(self, fn) -> "ScalarField":
         """Sample a callable fn(T, X, V) -> values at all nodes.
@@ -319,18 +312,28 @@ class RegionNorms:
 
 
 def norms(f: ScalarField, region: Region | None = None) -> RegionNorms:
-    """Cell quadrature of f over a region (the whole grid when None);
-    ValueError when no cell center lies inside the region.  A region that
-    holds every cell center (a d = 1 box on its own local grid) reads the
-    field in C order without gathering a copy: ``RegionNorms`` only reads
-    its values, so they may be a view of ``f.values``."""
-    if region is not None:
-        mask = f.grid.region_mask(region)
-        if not mask.any():
-            raise ValueError("region does not overlap the grid domain")
-        if not mask.all():
-            return RegionNorms(f.values[mask], f.grid.cell_volume)
-    return RegionNorms(f.values.ravel(), f.grid.cell_volume)
+    """Cell quadrature of f over a region (the whole grid when None), read
+    on its window; ValueError when no cell center lies inside the region.
+    A region that holds every node (a d = 1 box on its own local grid)
+    reads the raveled field, a view that ``RegionNorms`` only reads."""
+    if region is None:
+        return RegionNorms(f.values.ravel(), f.grid.cell_volume)
+    win, inside = _region_window(f.grid, region)
+    return RegionNorms(_gather(f.values[win], inside), f.grid.cell_volume)
+
+
+def _region_window(grid: Grid, region: Region):
+    """``grid.window(region)``; ValueError when no node lies inside."""
+    win, inside = grid.window(region)
+    if not inside.any():
+        raise ValueError("region does not overlap the grid domain")
+    return win, inside
+
+
+def _gather(values: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """``values`` (on a window) at the nodes inside, in C order; raveled,
+    with no copy of C-contiguous values, when every node is inside."""
+    return values.ravel() if inside.all() else values[inside]
 
 
 def grad_v(f: ScalarField) -> np.ndarray:
@@ -350,20 +353,18 @@ def grad_v_sq_integral(f: ScalarField, region: Region) -> float:
     The window's one-cell pad gives every node inside the region its v
     neighbours, so ``np.gradient`` uses the centred formula there, and the
     one-sided one at the grid's own v edges, as on the whole grid.  The
-    squares inside the region are summed in C order, the order in which
-    ``norms`` gathers them, so the result has the bits of ``norms`` over
+    squares inside the region are gathered as ``norms`` gathers a field
+    and summed in C order, so the result has the bits of ``norms`` over
     the whole-grid |grad_v f|^2.  ValueError, as ``norms``, when no cell
     center lies inside the region."""
     g = f.grid
-    win, inside = g.window(region)
-    if not inside.any():
-        raise ValueError("region does not overlap the grid domain")
+    win, inside = _region_window(g, region)
     values, sq = f.values[win], None
     for k in range(g.d):
         dk = np.gradient(values, g.dv, axis=1 + g.d + k)
         np.square(dk, out=dk)
         sq = dk if sq is None else np.add(sq, dk, out=sq)
-    return float(sq[inside].sum()) * g.cell_volume
+    return float(_gather(sq, inside).sum()) * g.cell_volume
 
 
 def _dirichlet_laplacian_1d(n: int, h: float) -> sp.csc_matrix:

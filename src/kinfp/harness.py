@@ -177,13 +177,12 @@ def local_norms(f, region: BoxCylinder | Cylinder, n) -> RegionNorms:
     """Quadrature of the evaluator f over a region on the region's own local
     grid of n nodes, counting the nodes inside the region only.  The local
     box is a box region itself, or a slanted cylinder's box hull with its x
-    radius widened by 1e-15 (the node placement, hence every recorded value
-    of the cylinder checks, depends on that widening).  A region that holds
-    no node violates the hypothesis that its grid resolves it."""
-    box = region
+    radius widened by a relative 2^-40, so that a dyadic scaling S_r maps
+    the nodes of Q onto those of S_r(Q).  A region that holds no node
+    violates the hypothesis that its grid resolves it."""
+    box = region.box_hull()  # a box is its own hull
     if isinstance(region, Cylinder):
-        hull = region.box_hull()
-        box = replace(hull, rx=hull.rx + 1e-15)
+        box = replace(box, rx=box.rx * (1 + 2**-40))
     fld = sample_on_box(f, box, n)
     try:
         return norms(fld, region)
@@ -191,10 +190,10 @@ def local_norms(f, region: BoxCylinder | Cylinder, n) -> RegionNorms:
         raise HypothesisError("local grid too coarse for the region") from None
 
 
-def normalize_by_infimum(f, region: BoxCylinder | Cylinder, n=(16, 16, 16)):
+def normalize_by_infimum(f, region: BoxCylinder | Cylinder, n=N_LOCAL):
     """The evaluator f / inf f, with the infimum taken over ``region`` on
-    its local grid of n nodes (see ``local_norms``), so that the result is
-    >= 1 on those nodes."""
+    its local grid of n nodes (see ``local_norms``; by default the nodes
+    the verifiers measure on), so that the result is >= 1 there."""
     lo = local_norms(f, region, n).inf
     ev = as_evaluator(f)
     return lambda T, X, V: ev(T, X, V) / lo

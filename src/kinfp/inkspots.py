@@ -209,9 +209,14 @@ def _cached(key: tuple, build):
 
 
 def _region_mask(grid: Grid, region: Cylinder) -> np.ndarray:
-    """``grid.region_mask(region)``, read-only, once per grid and region."""
-    return _cached(_plan_key(grid, region),
-                   lambda: _read_only(grid.region_mask(region)))
+    """The cell centers in the region as a full-grid mask filled from its
+    window, read-only, once per grid and region."""
+    def build():
+        mask, (win, inside) = np.zeros(grid.shape, bool), grid.window(region)
+        mask[win] = inside
+        return _read_only(mask)
+
+    return _cached(_plan_key(grid, region), build)
 
 
 def _scan_plan(grid: Grid, region: Cylinder, r: float) -> _ScanPlan:
@@ -475,11 +480,8 @@ def verify_inkspots(
         raise ValueError("m must be >= 1")
     if not 0.0 < r0 < 1.0:
         raise ValueError("r0 must lie in (0, 1)")
-    region_mask = E.region_mask
-    if np.any(E.mask & ~(F.mask & region_mask)):
+    if np.any(E.mask & ~(F.mask & E.region_mask)):
         raise HypothesisError("E is not contained in F meet Q_-")
-    if radii is None:
-        radii = _default_radii(E.grid)
     dense = find_dense_cylinders(E, mu, radii)
     for Q in dense:
         if Q.r >= r0:

@@ -29,7 +29,6 @@ class VerificationReport:
     rhs: float
     params: dict = field(default_factory=dict)
     passed: bool = True
-    seed: int | None = None
     refinement: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
@@ -52,7 +51,6 @@ class VerificationReport:
             "degenerate": self.degenerate,
             "params": _plain(self.params),
             "passed": bool(self.passed),
-            "seed": self.seed,
             "refinement": _plain(self.refinement),
             "details": _plain(self.details),
         }

@@ -54,7 +54,7 @@ class TestGrid:
             g = Grid(box, int(rng.integers(2, 64)), 2, 2)
             assert g.t_nodes[-1] <= box.t_max
             assert np.all(np.diff(g.t_nodes) > 0.0)
-            assert g.region_mask(box).all()
+            assert box.contains(*g.open_coords).all()
 
     def test_rejects_tiny_axes(self):
         with pytest.raises(ValueError):
@@ -238,7 +238,7 @@ class TestRegionQuadrature:
         g = Grid(box, 6, 9, 7)
         rng = np.random.default_rng(5)
         f = ScalarField(g, np.asarray(rng.normal(size=g.shape), order=order))
-        mask = g.region_mask(box)
+        mask = box.contains(*g.open_coords)
         n, gathered = norms(f, box), fields.RegionNorms(f.values[mask],
                                                         g.cell_volume)
         assert mask.all()
@@ -325,8 +325,9 @@ def box_batch(boxes):
 class TestWindow:
     """``Grid.window`` against ``region.contains`` on the full-grid
     coordinates, one region at a time and as one batch of padded windows,
-    for cylinders, their stacks and boxes; ``grad_v_sq_integral`` on each
-    window against the whole-grid quadrature, compared with ==."""
+    for cylinders, their stacks and boxes; ``norms`` on each window against
+    the full-grid gather, byte for byte, and ``grad_v_sq_integral`` against
+    the whole-grid quadrature, compared with ==."""
 
     @pytest.mark.parametrize("d, n", [(1, (20, 12, 10)), (2, (8, 6, 6))],
                              ids=["d1", "d2"])
@@ -358,10 +359,14 @@ class TestWindow:
                         == np.count_nonzero(inside))
                 if full.any():
                     hit += 1
+                    assert (norms(f, region).values.tobytes()
+                            == f.values[full].tobytes())
                     assert (grad_v_sq_integral(f, region)
                             == norms(sq, region).integral)
                     continue
                 miss += 1
+                with pytest.raises(ValueError, match="does not overlap"):
+                    norms(f, region)
                 with pytest.raises(ValueError, match="does not overlap"):
                     grad_v_sq_integral(f, region)
         assert hit > 250 and miss > 30
@@ -386,7 +391,7 @@ class TestGradVSqIntegral:
         sq = reference_grad_v_sq(f)
         checked, touched = 0, set()
         for box in random_boxes(rng, domain, 200):
-            mask = g.region_mask(box)
+            mask = box.contains(*g.open_coords)
             if not mask.any():
                 with pytest.raises(ValueError, match="does not overlap"):
                     norms(sq, box)
@@ -402,6 +407,31 @@ class TestGradVSqIntegral:
         assert checked >= 100
         assert touched == {(k, end) for k in range(1 + 2 * d)
                            for end in (0, -1)}
+
+    def test_full_region_sums_the_squares_in_place(self, monkeypatch):
+        # a d = 1 box holds every node of its own grid: the squares are
+        # read as a view of the gradient, as norms reads the field, and a
+        # region that holds some nodes only gathers a copy
+        box = BoxCylinder(-0.7, -0.1, np.array([0.2]), 0.5, np.array([-0.3]),
+                          0.8)
+        g = Grid(box, 6, 9, 7)
+        f = ScalarField(g, np.random.default_rng(6).normal(size=g.shape))
+        part = Cylinder(PhasePoint(-0.2, np.array([0.2]), np.array([-0.3])),
+                        0.5)
+        real, reads = fields._gather, []
+
+        def spy(values, inside):
+            out = real(values, inside)
+            reads.append(np.shares_memory(out, values))
+            return out
+
+        monkeypatch.setattr(fields, "_gather", spy)
+        sq = reference_grad_v_sq(f)
+        for region, in_place in ((box, True), (part, False)):
+            reads.clear()
+            assert (grad_v_sq_integral(f, region)
+                    == norms(sq, region).integral)
+            assert reads == [in_place, in_place]
 
     def test_slanted_cylinder(self):
         rng = np.random.default_rng(4)

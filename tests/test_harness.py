@@ -26,6 +26,7 @@ from kinfp.geometry import (
     q_one,
     q_plus,
     q_pos,
+    scale,
 )
 from kinfp.report import HypothesisError
 from kinfp.harness import (
@@ -117,6 +118,36 @@ class TestLocalNorms:
         fld = sample_on_box(f, box, n)
         assert got.values.tobytes() == fld.values.ravel().tobytes()
         assert got.cell_volume == fld.grid.cell_volume
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 10, 14])
+    @pytest.mark.parametrize("region", [
+        BoxCylinder(-0.9, -0.4, np.array([0.1]), 0.3, np.array([0.2]), 0.5),
+        Cylinder(origin(1), 0.5),
+        Cylinder(PhasePoint(-0.2, np.array([0.1]), np.array([0.7])), 0.4),
+    ], ids=["box", "centred", "slanted"])
+    def test_covariant_under_dyadic_scaling(self, region, k):
+        # S_r(t, x, v) = (r^2 t, r^3 x, r v) is exact in float64 at
+        # r = 2^-k, and so are its images of a region's local grid: f o
+        # S_r^-1 over S_r(Q) has the extrema of f over Q, and measure and
+        # integral scale by r^Q, Q = 2 + 4d, bit for bit
+        r = 2.0**-k
+        f, _ = make_kernel_mixture(3)
+        if isinstance(region, BoxCylinder):
+            image = BoxCylinder(r * r * region.t_min, r * r * region.t_max,
+                                r**3 * region.x_center, r**3 * region.rx,
+                                r * region.v_center, r * region.rv)
+        else:
+            image = Cylinder(scale(r, region.center), r * region.r)
+
+        def pulled_back(T, X, V):
+            return f(T / (r * r), X / r**3, V / r)
+
+        ref = local_norms(f, region, N_LOCAL)
+        got = local_norms(pulled_back, image, N_LOCAL)
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert (got.sup, got.inf) == (ref.sup, ref.inf)
+        assert got.measure / r**6 == ref.measure
+        assert got.integral / r**6 == ref.integral
 
     def test_d2_box_is_masked_by_its_balls(self):
         box = q_minus(1e-2, 2)
@@ -291,10 +322,12 @@ class TestPositivityChain:
     def test_expansion_of_positivity(self):
         theta = 0.5
         f0, _ = make_kernel_mixture(5, n_terms=2)
-        f = normalize_by_infimum(f0, q_pos(theta, 1), N_LOCAL)
+        f = normalize_by_infimum(f0, q_pos(theta, 1))
         rep = verify_expansion_of_positivity(f, theta)
         assert rep.passed
         assert rep.lhs > 0.0
+        # normalised on the nodes the hypothesis is checked on
+        assert rep.params["positive_fraction"] == 1.0
         assert rep.details["ell0_formula"] == 0.0  # theta0 = 1 exactly
 
     def test_pop_rejects_small_measure(self):
@@ -321,7 +354,7 @@ class TestPositivityChain:
     def test_minima_measure(self):
         m = 3
         f0, _ = make_kernel_mixture(9, n_terms=3, pole_time=(-8.0, -4.0))
-        f = normalize_by_infimum(f0, q_bar(m, 1), N_LOCAL)
+        f = normalize_by_infimum(f0, q_bar(m, 1))
         vals = local_norms(f, q_one(1), N_LOCAL).values
         M = float(np.quantile(vals, 0.45))
         rep = verify_minima_measure(f, m, M)
@@ -338,6 +371,7 @@ class TestPositivityChain:
         f = normalize_by_infimum(f0, Cylinder(z0, r))
         rep = verify_pop_large_times(f, z0, r, A=1.0, ell0=0.25)
         assert rep.passed
+        assert rep.params["value_fraction"] == 1.0
         assert rep.lhs >= rep.rhs
         assert all(v > 0 for v in rep.details["stack_infima"])
 

@@ -50,10 +50,10 @@ def dense_fixture():
     g = standard_grid((24, 24, 24), t_max=3 * 0.2**2)
     z0 = PhasePoint(float(g.t_nodes[10]), np.array([g.x_axis[0][12]]),
                     np.array([g.v_axis[0][12]]))
-    E = region_set(g, g.region_mask(Cylinder(z0, 0.2))
-                   & g.region_mask(unit_past_cylinder(1)))
+    E = region_set(g, Cylinder(z0, 0.2).contains(*g.open_coords)
+                   & unit_past_cylinder(1).contains(*g.open_coords))
     dense = find_dense_cylinders(E, 0.3, radii=[0.2, 0.1])
-    stacks = [g.region_mask(Q.stacked(3)) for Q in dense]
+    stacks = [Q.stacked(3).contains(*g.open_coords) for Q in dense]
     return E, region_set(g, np.logical_or.reduce([E.mask, *stacks])), dense, \
         stacks
 
@@ -355,7 +355,7 @@ class TestScanPlans:
             0.3, radii)
         built = len(plan_builds)
         g = standard_grid(n, d=d)  # an equal grid: its plans are cached
-        E = DiscreteSet(g, g.region_mask(region)
+        E = DiscreteSet(g, region.contains(*g.open_coords)
                         & (rng.uniform(size=g.shape) < 0.8), region)
         dense = find_dense_cylinders(E, 0.3, radii)
         assert len(plan_builds) == built == len(radii)
@@ -389,7 +389,8 @@ class TestDiscreteSet:
         g = standard_grid(n, d=d)
         region = unit_past_cylinder(d)
         rng = np.random.default_rng(0)
-        mask = g.region_mask(region) & (rng.uniform(size=g.shape) < 0.8)
+        mask = (region.contains(*g.open_coords)
+                & (rng.uniform(size=g.shape) < 0.8))
         E = DiscreteSet(g, mask, region)
         wide = find_dense_cylinders(E, 0.999, radii)
         dense = find_dense_cylinders(E, 0.3, radii)
