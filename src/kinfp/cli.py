@@ -406,7 +406,7 @@ def _run_pop_large_times(cfg: ExperimentConfig) -> list[dict]:
         f0, _ = make_kernel_mixture(seed, d=cfg.d)
         f = normalize_by_infimum(f0, Cylinder(z0, r))
         rows.append(_row("pop-large-times", i, seed, verify_pop_large_times(
-            f, z0, r, A=1.0, omega=omega, ell0=0.25)))
+            f, z0, r, omega=omega)))
     return rows
 
 

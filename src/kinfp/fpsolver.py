@@ -605,7 +605,6 @@ def weak_residual(
     coeffs: CoefficientField,
     mode: str,
     test_set: list[Bump],
-    tol: float | None = None,
 ) -> dict:
     """Quadrature of the weak form against each nonnegative test bump.
 
@@ -615,8 +614,8 @@ def weak_residual(
         -int (B . grad_v f + S) phi
 
     is computed on the grid.  mode 'super' requires every value >= -tol,
-    'sub' requires <= tol, 'solution' requires |value| <= tol.  When tol is
-    None the first-order default ``first_order_tol(f, sup|S|)`` is used.
+    'sub' requires <= tol, 'solution' requires |value| <= tol, with tol the
+    first-order tolerance ``first_order_tol(f, sup|S|)``.
     """
     if mode not in ("solution", "super", "sub"):
         raise ValueError("mode must be solution|super|sub")
@@ -624,8 +623,7 @@ def weak_residual(
     T, X, V = g.open_coords
     dvol = g.cell_volume
     grad_f = grad_v(f)
-    if tol is None:
-        tol = first_order_tol(f, float(np.max(np.abs(coeffs.S))))
+    tol = first_order_tol(f, float(np.max(np.abs(coeffs.S))))
     a_grad = np.einsum("...jk,...k->...j", coeffs.A, grad_f)
     drift = np.einsum("...k,...k->...", coeffs.B, grad_f)
     src = coeffs.S
@@ -678,11 +676,10 @@ def local_bound_check(
     f: ScalarField,
     q_int: BoxCylinder,
     q_ext: BoxCylinder,
-    source_sup: float = 0.0,
 ) -> VerificationReport:
-    """Interior sup bound for sub-solutions:
+    """Interior sup bound for sub-solutions without a source:
 
-        sup over q_int of f  <=  C (L2 norm of f_+ on q_ext + sup|S| on q_ext)
+        sup over q_int of f  <=  C (L2 norm of f_+ on q_ext)
 
     Requires q_int strictly inside q_ext in all three directions, with the
     x and v balls compared as the Euclidean balls ``norms`` measures.
@@ -698,13 +695,10 @@ def local_bound_check(
     if not all(gaps):
         raise ValueError("q_int must sit strictly inside q_ext")
     lhs = norms(f, q_int).sup
-    l2 = norms(f, q_ext).excess().lp(2.0)
-    rhs = l2 + source_sup
+    rhs = norms(f, q_ext).excess().lp(2.0)
     return VerificationReport(
         inequality="local-upper-bound",
         lhs=lhs,
         rhs=rhs,
-        params={"source_sup": source_sup},
         passed=np.isfinite(lhs) and np.isfinite(rhs),
-        details={"l2_plus": l2},
     )

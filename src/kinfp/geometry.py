@@ -43,6 +43,7 @@ __all__ = [
     "cylinder_in_cylinder",
     "stack_cylinders",
     "pop_parameters",
+    "time_lap",
     "radius_power",
     "uniform_from",
     "q_minus",
@@ -536,7 +537,7 @@ def _stack_batch(z0: PhasePoint, r, omega: float) -> StackedSequence:
     )
 
 
-def check_stacking(seq: StackedSequence, tol: float = 1e-12) -> dict:
+def check_stacking(seq: StackedSequence) -> dict:
     """Closed-form verification of the three stacking guarantees plus the
     lower bound on the radius of Q[N]: one bool per guarantee for a single
     base, one boolean array of shape (B,) for a batch of B bases.  A single
@@ -544,19 +545,19 @@ def check_stacking(seq: StackedSequence, tol: float = 1e-12) -> dict:
     ``predecessor``), lined up as a batch of one."""
     if np.ndim(seq.N) > 0:
         return _check_stacks(seq.cylinders, seq.N, seq.last, seq.predecessor,
-                             seq.omega, tol)
+                             seq.omega)
     ok = _check_stacks(_cylinder_batch(seq.cylinders[:-1])[None],
                        np.array([seq.N]), _cylinder_batch([seq.last]),
-                       _cylinder_batch([seq.predecessor]), seq.omega, tol)
+                       _cylinder_batch([seq.predecessor]), seq.omega)
     return {key: bool(value[0]) for key, value in ok.items()}
 
 
 def _check_stacks(cylinders: Cylinder, N: np.ndarray, last: Cylinder,
-                  predecessor: Cylinder, omega: float, tol: float) -> dict:
+                  predecessor: Cylinder, omega: float) -> dict:
     """``check_stacking`` over B stacks: ``cylinders`` a (B, K) batch whose
     columns k <= N[b] are Q[1..N] of stack b, ``last`` and ``predecessor``
     batches of shape (B,)."""
-    d = last.d
+    d, tol = last.d, 1e-12  # the slack of every closed-form test
     envelope = BoxCylinder(-1.0, 0.0, np.zeros(d), 2.0, np.zeros(d), 2.0)
     q_n = cylinders[np.arange(N.size), N - 1]
     unused = np.arange(np.shape(cylinders.r)[-1]) >= N[:, None]  # columns k > N
@@ -588,6 +589,12 @@ class PopParameters:
     time_lap: float  # gap between the top of the vanishing cylinder and t = -1
 
 
+def time_lap(eta: float) -> float:
+    """The time lap T = eta^2 / 8 at Poincare aperture eta (see
+    ``pop_parameters``), also the cut t <= -1 - T of Q_zero."""
+    return eta**2 / 8.0
+
+
 def pop_parameters(theta: float) -> PopParameters:
     """Scaling margin iota, Poincare aperture eta and time lap T for theta in (0, 1].
 
@@ -603,7 +610,7 @@ def pop_parameters(theta: float) -> PopParameters:
         (3.0 / 2.0) ** 0.5 - 1.0,
     )
     eta = (5.0 / 4.0) ** (-1.0 / 5.0) / (1.0 + iota) * theta
-    T = eta**2 / 8.0
+    T = time_lap(eta)
 
     # Consistency of the construction; all hold in exact arithmetic.
     assert 0 < eta < theta

@@ -36,6 +36,7 @@ from .fields import (
     broadcast_coords,
     grad_v_sq_integral,
     h_minus1_norm,
+    make_coefficients,
     norms,
 )
 from .fpsolver import Bump, SolverConfig, first_order_tol, solve, transport_pairing
@@ -53,7 +54,9 @@ from .geometry import (
     stack_cylinders,
 )
 from .kolmogorov import (
+    ALPHA0,
     CutoffFunction,
+    _require_nonnegative,
     _shell_share,
     log_kernel_eval,
     solve_cauchy,
@@ -84,6 +87,15 @@ __all__ = [
 #: Nodes (n_t, n_x, n_v) of the local grid each verifier puts on a region;
 #: the x and v counts apply per dimension.
 N_LOCAL = (16, 24, 24)
+
+# Expansion of positivity: the source bound sup|S| <= eta0, and the level A
+# and positivity gain l0 at large times.
+_ETA0, _A, _ELL0 = 1e-2, 1.0, 0.25
+# Weak Harnack and Harnack: the stack count m, and the smallest domain
+# radius R0 their domain gate admits, on which solver members live.
+_M, _R0_MIN = 3, 18.0
+# Base radius and ratio of the nested cylinders of the oscillation decay.
+_R_BASE, _RBAR = 1.0, 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -209,31 +221,30 @@ def make_kernel_mixture(
     d: int = 1,
     n_terms: int = 5,
     pole_time: tuple[float, float] = (-6.0, -1.6),
-    pole_spread: float = 3.0,
-    weight_range: tuple[float, float] = (0.2, 2.0),
-    floor: float = 0.0,
 ):
     """Positive combination of kernel translates with poles in the far past.
 
     Each member is an exact nonnegative solution of the constant-coefficient
     equation on any domain with t > max pole time (hence a super-solution),
-    strictly positive everywhere.  Returns (evaluator, metadata).
+    strictly positive everywhere.  Weights are drawn from [0.2, 2), pole
+    times from ``pole_time`` and the poles' x and v from [-3, 3)^d.  Returns
+    (evaluator, metadata).
     """
     rng = np.random.default_rng(seed)
     poles = []
-    weights = rng.uniform(*weight_range, size=n_terms)
+    weights = rng.uniform(0.2, 2.0, size=n_terms)
     for _ in range(n_terms):
         poles.append(
             PhasePoint(
                 rng.uniform(*pole_time),
-                rng.uniform(-pole_spread, pole_spread, size=d),
-                rng.uniform(-pole_spread, pole_spread, size=d),
+                rng.uniform(-3.0, 3.0, size=d),
+                rng.uniform(-3.0, 3.0, size=d),
             )
         )
 
     def evaluate(T, X, V):
         T = np.asarray(T, dtype=float)
-        out = np.full(T.shape, float(floor))
+        out = np.zeros(T.shape)
         for w, z0 in zip(weights, poles):
             out = out + w * np.exp(log_kernel_eval(T, X, V, z0))
         return out
@@ -242,52 +253,41 @@ def make_kernel_mixture(
         "seed": seed,
         "weights": weights.tolist(),
         "poles": [(float(z.t), z.x.tolist(), z.v.tolist()) for z in poles],
-        "floor": floor,
     }
     return evaluate, meta
 
 
+#: The ``ExperimentEnsemble.params`` keys a member reads.
+_ENSEMBLE_KEYS = ("coeff_kind", "lam", "Lam", "n", "cell_size", "radius")
+
+
 @dataclass
 class ExperimentEnsemble:
-    """Reproducible family of nonnegative super-solution evaluators.
-
-    kind 'kernel-mixture' yields analytic members; 'solver-rough' runs the
-    rough-coefficient solver from positive initial data with S >= 0.  A
-    member is a pair (f, meta): f is the mixture's evaluator or the solver's
-    trajectory field, and meta the dict that describes it.  The solver's
-    coefficients are not returned.
+    """Reproducible family of nonnegative super-solutions: solver runs with
+    rough coefficients (kind 'solver-rough', the only kind) from positive
+    initial data with S >= 0.  ``member(i)`` returns (f, meta), the
+    trajectory field and the dict that describes it.  ``params`` may set
+    the keys of ``_ENSEMBLE_KEYS``; any other key is a ValueError.
     """
 
-    kind: str = "kernel-mixture"
+    kind: str = "solver-rough"
     count: int = 10
     seed: int = 0
     d: int = 1
     params: dict = field(default_factory=dict)
 
-    def member_seed(self, i: int) -> int:
-        return self.seed * 100003 + i
-
-    def members(self):
-        for i in range(self.count):
-            yield self.member(i)
+    def __post_init__(self):
+        if self.kind != "solver-rough":
+            raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        unknown = sorted(set(self.params) - set(_ENSEMBLE_KEYS))
+        if unknown:
+            raise ValueError(f"unknown ensemble params key(s): {unknown}")
 
     def member(self, i: int):
-        if self.kind == "kernel-mixture":
-            f, meta = make_kernel_mixture(
-                self.member_seed(i), d=self.d, **self.params
-            )
-            return f, meta
-        if self.kind == "solver-rough":
-            return self._solver_member(i)
-        raise ValueError(f"unknown ensemble kind {self.kind!r}")
-
-    def _solver_member(self, i: int):
-        from .fields import make_coefficients
-
-        seed = self.member_seed(i)
+        seed = self.seed * 100003 + i
         rng = np.random.default_rng(seed)
         p = self.params
-        radius = float(p.get("radius", 18.0))
+        radius = float(p.get("radius", _R0_MIN))
         n = tuple(p.get("n", (64, 96, 48)))
         lam = float(p.get("lam", 1.0))
         Lam = float(p.get("Lam", 4.0))
@@ -362,7 +362,6 @@ def verify_weak_poincare(
     f: ScalarField,
     H: NegSobolevInput,
     eta: float,
-    alpha0: float = 0.25,
 ) -> VerificationReport:
     """Mean-value gain from a vanishing set:
 
@@ -370,13 +369,12 @@ def verify_weak_poincare(
             <= C ( || grad_v f ||_{L2(Q_ext)} + || H ||_{L2 H^-1(Q_ext)} )
 
     with M = sup of f on Q_1 and theta0 from the localization analysis.
-    Hypotheses checked: f >= 0; the zero set of f fills at least alpha0 of
-    Q_zero; the transport derivative of f is dominated by H in weak form.
+    Hypotheses checked: f >= 0; the zero set of f fills at least ``ALPHA0``
+    of Q_zero; the transport derivative of f is dominated by H in weak form.
     """
     d = f.grid.d
-    if np.any(f.values < 0.0):
-        raise HypothesisError("weak Poincare requires f >= 0")
-    zero_frac = zero_fraction(f, eta, alpha0)
+    _require_nonnegative(f, "weak Poincare")
+    zero_frac = zero_fraction(f, eta)
     _require_transport_control(f, H)
 
     pars = theta0_parameters(eta, d)
@@ -388,7 +386,7 @@ def verify_weak_poincare(
         inequality="weak-poincare",
         lhs=lhs,
         rhs=rhs,
-        params={"eta": eta, "alpha0": alpha0, "M": M,
+        params={"eta": eta, "alpha0": ALPHA0, "M": M,
                 "theta0": pars["theta0"], "delta0": pars["delta0"],
                 "zero_fraction": zero_frac},
         passed=np.isfinite(lhs) and np.isfinite(rhs),
@@ -410,8 +408,7 @@ def verify_local_poincare(
     |h|-mass in the outermost cell shell of f's box.
     """
     g = f.grid
-    if np.any(f.values < 0.0):
-        raise HypothesisError("local Poincare requires f >= 0")
+    _require_nonnegative(f, "local Poincare")
     _require_transport_control(f, H)
     psi = cutoff.evaluate(*g.open_coords)
     h = solve_cauchy(ScalarField(g, f.values * psi.lk))
@@ -451,7 +448,6 @@ def verify_expansion_of_positivity(
     f,
     theta: float,
     eps: float = 1e-2,
-    eta0: float = 1e-2,
     source_sup: float = 0.0,
     d: int = 1,
     n_local=N_LOCAL,
@@ -467,9 +463,9 @@ def verify_expansion_of_positivity(
     infimum; both numbers are recorded.
     """
     pars = pop_parameters(theta)
-    if source_sup > eta0:
+    if source_sup > _ETA0:
         raise HypothesisError(
-            f"source bound fails: sup|S| = {source_sup} > eta0 = {eta0}"
+            f"source bound fails: sup|S| = {source_sup} > eta0 = {_ETA0}"
         )
     frac = _half_measure("positivity-measure", f, q_pos(theta, d), 1.0,
                          n_local)
@@ -484,7 +480,7 @@ def verify_expansion_of_positivity(
         lhs=inf_q1,
         rhs=ell0_formula,
         params={"theta": theta, "iota": pars.iota, "eta": pars.eta,
-                "time_lap": pars.time_lap, "eps": eps, "eta0": eta0,
+                "time_lap": pars.time_lap, "eps": eps, "eta0": _ETA0,
                 "theta0": th["theta0"], "positive_fraction": frac},
         passed=inf_q1 > 0.0 and inf_q1 >= ell0_formula,
         details={"ell0_empirical": inf_q1, "ell0_formula": ell0_formula},
@@ -496,7 +492,6 @@ def verify_minima_measure(
     m: int,
     M: float,
     d: int = 1,
-    n_local=N_LOCAL,
 ) -> VerificationReport:
     """Large values on half of Q_1 force f >= 1 on the stacked cylinder:
 
@@ -507,8 +502,8 @@ def verify_minima_measure(
     if m < 3:
         raise HypothesisError("minima-measure requires m >= 3")
     theta = m ** (-0.5)
-    frac = _half_measure("minima-measure", f, q_one(d), M, n_local)
-    inf_bar = local_norms(f, q_bar(m, d), n_local).inf
+    frac = _half_measure("minima-measure", f, q_one(d), M, N_LOCAL)
+    inf_bar = local_norms(f, q_bar(m, d), N_LOCAL).inf
     return VerificationReport(
         inequality="minima-measure",
         lhs=inf_bar,
@@ -522,31 +517,26 @@ def verify_pop_large_times(
     f,
     z0: PhasePoint,
     r: float,
-    A: float,
     omega: float = 1e-2,
-    ell0: float = 0.25,
-    n_local=N_LOCAL,
 ) -> VerificationReport:
     """Positivity on a small past cylinder propagates to Q_+:
 
     if |{f >= A} meet Q_r(z0)| >= (1/2)|Q_r(z0)| (with Q_r(z0) inside Q_-)
     then f >= A (r^2/4)^{p0} on Q_+, where p0 = -log_4 l0 for the
-    positivity gain l0 of the aperture-1/2 pipeline (empirical input).
+    positivity gain l0 of the aperture-1/2 pipeline (empirical input); A
+    and l0 are ``_A`` and ``_ELL0``.
     """
-    if not 0.0 < ell0 < 1.0:
-        raise ValueError("ell0 must lie in (0, 1)")
     seq = stack_cylinders(z0, r, omega)  # validates Q_r(z0) inside Q_-
-    frac = _half_measure("large-times", f, seq.base, A, n_local)
-    p0 = -math.log(ell0, 4.0)
-    rhs = A * (r * r / 4.0) ** p0
-    d = z0.d
-    lhs = local_norms(f, q_plus(omega, d).box_hull(), n_local).inf
-    stack_infs = [local_norms(f, Q, n_local).inf for Q in seq.cylinders]
+    frac = _half_measure("large-times", f, seq.base, _A, N_LOCAL)
+    p0 = -math.log(_ELL0, 4.0)
+    rhs = _A * (r * r / 4.0) ** p0
+    lhs = local_norms(f, q_plus(omega, z0.d).box_hull(), N_LOCAL).inf
+    stack_infs = [local_norms(f, Q, N_LOCAL).inf for Q in seq.cylinders]
     return VerificationReport(
         inequality="expansion-of-positivity-large-times",
         lhs=lhs,
         rhs=rhs,
-        params={"r": r, "A": A, "omega": omega, "ell0": ell0, "p0": p0,
+        params={"r": r, "A": _A, "omega": omega, "ell0": _ELL0, "p0": p0,
                 "N": seq.N, "value_fraction": frac},
         passed=lhs >= rhs and lhs > 0.0,
         details={"stack_infima": stack_infs},
@@ -574,13 +564,13 @@ def _source_reduced(f, source_sup: float, frame: PhasePoint | None = None):
     return reduced
 
 
-def _domain_gate(R0: float, omega: float, m: int) -> None:
-    """The weak Harnack domain gates R0 >= 18 R_{1/2} and
-    R0 >= 9 R_{m^{-1/2}} m^{3/2} omega^3, with both localization radii
-    realized as 1 in this implementation."""
-    if R0 < 18.0:
-        raise HypothesisError(f"domain gate fails: R0 = {R0} < 18")
-    if R0 < 9.0 * m**1.5 * omega**3:
+def _domain_gate(R0: float, omega: float) -> None:
+    """The weak Harnack domain gates R0 >= ``_R0_MIN`` and
+    R0 >= 9 R_{m^{-1/2}} m^{3/2} omega^3 at m = ``_M``, with both
+    localization radii realized as 1 in this implementation."""
+    if R0 < _R0_MIN:
+        raise HypothesisError(f"domain gate fails: R0 = {R0} < {_R0_MIN:g}")
+    if R0 < 9.0 * _M**1.5 * omega**3:
         raise HypothesisError("domain gate fails: R0 too small for omega, m")
 
 
@@ -589,8 +579,7 @@ def verify_weak_harnack(
     p: float = 1.0,
     omega: float = 1e-2,
     source_sup: float = 0.0,
-    R0: float = 18.0,
-    m: int = 3,
+    R0: float = _R0_MIN,
     d: int = 1,
     frame: PhasePoint | None = None,
     n_local=N_LOCAL,
@@ -601,13 +590,14 @@ def verify_weak_harnack(
         ( int over Q_- of f^p )^{1/p} <= C ( inf over Q_+ of f + sup|S| ).
 
     The source reduction replaces f by f + sup|S| * t before both sides are
-    measured.  The domain gates are those of ``_domain_gate``.  ``frame``
-    reruns the whole computation in a transported frame (the group action
-    preserves measure, so the ratio is invariant up to quadrature error).
+    measured.  The domain gates are those of ``_domain_gate``, at the stack
+    count m = ``_M``.  ``frame`` reruns the whole computation in a
+    transported frame (the group action preserves measure, so the ratio is
+    invariant up to quadrature error).
     """
     if p <= 0.0:
         raise ValueError("p must be positive")
-    _domain_gate(R0, omega, m)
+    _domain_gate(R0, omega)
     reduced = _source_reduced(f, source_sup, frame)
     qm = q_minus(omega, d)
     qp = q_plus(omega, d).box_hull()
@@ -629,7 +619,7 @@ def verify_weak_harnack(
         lhs=lhs,
         rhs=rhs,
         params={"p": p, "omega": omega, "source_sup": source_sup,
-                "R0": R0, "m": m,
+                "R0": R0, "m": _M,
                 "frame": None if frame is None
                 else [frame.t, frame.x.tolist(), frame.v.tolist()]},
         passed=np.isfinite(lhs) and rhs > 0.0,
@@ -641,7 +631,7 @@ def verify_harnack(
     f,
     omega: float = 1e-2,
     source_sup: float = 0.0,
-    R0: float = 18.0,
+    R0: float = _R0_MIN,
     d: int = 1,
     n_local=N_LOCAL,
 ) -> VerificationReport:
@@ -649,11 +639,11 @@ def verify_harnack(
 
     Composes the interior upper bound (sup over Q_- against the L2 mass of
     an enlarged past cylinder) with the weak Harnack inequality at p = 2
-    and m = 3, whose gates it shares; the two fitted constants are recorded
-    in the details and the headline numbers are the direct sup / inf pair.
-    Q_- and the hull of Q_+ are each measured once, for both.
+    and m = ``_M``, whose gates it shares; the two fitted constants are
+    recorded in the details and the headline numbers are the direct sup /
+    inf pair.  Q_- and the hull of Q_+ are each measured once, for both.
     """
-    _domain_gate(R0, omega, 3)
+    _domain_gate(R0, omega)
     reduced = _source_reduced(f, source_sup)
     enlarged = BoxCylinder(
         -1.0 - 3.0 * omega**2, -1.0 + 2.0 * omega**2,
@@ -681,29 +671,26 @@ def verify_harnack(
 def estimate_holder(
     f,
     levels: int = 5,
-    rbar: float = 2.0,
-    r_base: float = 1.0,
     d: int = 1,
-    n_local=N_LOCAL,
 ) -> VerificationReport:
     """Oscillation decay over nested kinetic cylinders.
 
-    Measures osc over Q_{r_base * rbar^{-k}} (boxes at the origin) for
-    k = 0..levels-1 after normalizing f to [0, 2] on the base cylinder,
-    fits log osc_k against k, and reports the exponent
-    alpha = -slope / log(rbar) with the fit's R^2.  Records which branch
-    of the shrinking dichotomy (f vs 2 - f) each level took.  The report's
-    lhs is the finest oscillation and its rhs the base one; it passes when
-    f is constant on the base cylinder (every osc 0) or when osc decreases
-    strictly with a fit of R^2 >= 0.9.
+    Measures osc over Q_{r_base * rbar^{-k}} (boxes at the origin, with
+    r_base = ``_R_BASE`` and rbar = ``_RBAR``) for k = 0..levels-1 after
+    normalizing f to [0, 2] on the base cylinder, fits log osc_k against
+    k, and reports the exponent alpha = -slope / log(rbar) with the fit's
+    R^2.  Records which branch of the shrinking dichotomy (f vs 2 - f) each
+    level took.  The report's lhs is the finest oscillation and its rhs the
+    base one; it passes when f is constant on the base cylinder (every osc
+    0) or when osc decreases strictly with a fit of R^2 >= 0.9.
     """
     if levels < 2:
         raise ValueError("need at least 2 levels")
     ev = as_evaluator(f)
-    base_box = Cylinder(origin(d), r_base).box_hull()
-    base = local_norms(ev, base_box, n_local)
+    base_box = Cylinder(origin(d), _R_BASE).box_hull()
+    base = local_norms(ev, base_box, N_LOCAL)
     if isinstance(f, ScalarField):
-        finest = r_base * rbar ** (-(levels - 1))
+        finest = _R_BASE * _RBAR ** (-(levels - 1))
         if finest**3 < f.grid.dx or finest < f.grid.dv:
             raise ValueError(
                 "insufficient levels before hitting grid resolution"
@@ -718,12 +705,12 @@ def estimate_holder(
     osc = []
     branches = []
     for k in range(levels):
-        r = r_base * rbar ** (-k)
+        r = _R_BASE * _RBAR ** (-k)
         box = Cylinder(origin(d), r).box_hull()
-        osc.append(local_norms(normalized, box, n_local).osc)
+        osc.append(local_norms(normalized, box, N_LOCAL).osc)
         past = Cylinder(PhasePoint(-(r**2), np.zeros(d), np.zeros(d)),
                         r).box_hull()
-        frac_low = local_norms(normalized, past, n_local).fraction(
+        frac_low = local_norms(normalized, past, N_LOCAL).fraction(
             lambda v: v <= 1.0)
         branches.append("f" if frac_low <= 0.5 else "2-f")
     osc_arr = np.array(osc)
@@ -735,7 +722,7 @@ def estimate_holder(
     ss_res = float(np.sum((logs - pred) ** 2))
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     return _holder_report(
-        [float(o) for o in osc], float(-slope / math.log(rbar)),
+        [float(o) for o in osc], float(-slope / math.log(_RBAR)),
         1.0 - ss_res / ss_tot if ss_tot > 0 else None, branches,
         monotone=bool(np.all(np.diff(osc_arr) < 0.0)), constant=False)
 

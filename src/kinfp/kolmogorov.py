@@ -28,7 +28,7 @@ import numpy as np
 
 from .fields import BoxCylinder, ScalarField, make_coefficients, norms
 from .fpsolver import SolverConfig, solve
-from .geometry import PhasePoint, ball_volume, q_one, q_zero
+from .geometry import PhasePoint, ball_volume, q_one, q_zero, time_lap
 from .report import HypothesisError
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "CutoffValues",
     "build_cutoff",
     "theta0_parameters",
+    "ALPHA0",
     "zero_fraction",
     "localization_bound",
 ]
@@ -332,7 +333,7 @@ def theta0_parameters(eta: float, d: int = 1) -> dict:
     Q_1 x (Q_zero cut at t <= -1 - T); theta0 = 1 - delta0 / 2.  The log of
     m is returned as well since m itself underflows for moderate eta.
     """
-    T = eta**2 / 8.0
+    T = time_lap(eta)
     log_m = _log_kernel_min(eta, T, d)
     qz_vol = eta**2 * ball_volume(d, eta**3) * ball_volume(d, eta)
     delta0 = float(np.exp(log_m) * qz_vol / 8.0)
@@ -346,19 +347,29 @@ def theta0_parameters(eta: float, d: int = 1) -> dict:
     }
 
 
-def zero_fraction(f: ScalarField, eta: float, alpha0: float) -> float:
+#: Smallest share alpha0 of Q_zero that the zero set of f must fill.
+ALPHA0 = 0.25
+
+
+def _require_nonnegative(f: ScalarField, name: str) -> None:
+    """The hypothesis f >= 0 of ``name`` at every node of f's grid."""
+    if np.any(f.values < 0.0):
+        raise HypothesisError(f"{name} requires f >= 0")
+
+
+def zero_fraction(f: ScalarField, eta: float) -> float:
     """The zero-set hypothesis: the share of the cells of f's grid inside
     Q_zero = (-1-eta^2, -1] x B_{eta^3} x B_eta where f vanishes, which must
-    be at least alpha0.  Returns the share; HypothesisError when no cell
-    center lies inside Q_zero or the share is below alpha0."""
+    be at least ``ALPHA0``.  Returns the share; HypothesisError when no cell
+    center lies inside Q_zero or the share is below ``ALPHA0``."""
     try:
         qz = norms(f, q_zero(eta, f.grid.d))
     except ValueError:
         raise HypothesisError("grid too coarse: no cells inside Q_zero") from None
     frac = qz.fraction(lambda u: u == 0.0)
-    if frac < alpha0:
+    if frac < ALPHA0:
         raise HypothesisError(
-            f"zero-set hypothesis fails: fraction {frac:.3f} < {alpha0}"
+            f"zero-set hypothesis fails: fraction {frac:.3f} < {ALPHA0}"
         )
     return frac
 
@@ -367,7 +378,6 @@ def localization_bound(
     f: ScalarField,
     eta: float,
     R: float = 1.0,
-    alpha0: float = 0.25,
 ) -> dict:
     """Bound the localized evolution h of a [0, sup f]-valued field.
 
@@ -380,7 +390,7 @@ def localization_bound(
 
     all from zero data at the opening time, so that
     h = Psi * sup f - P_R + E_R up to scheme error.  Requires the zero set
-    of f to fill at least the fraction alpha0 of Q_zero =
+    of f to fill at least the fraction ``ALPHA0`` of Q_zero =
     (-1-eta^2, -1] x B_{eta^3} x B_eta (measured by cell counting on f's
     grid; ``zero_fraction``).  Returns the bound parameters
 
@@ -402,9 +412,8 @@ def localization_bound(
     """
     grid = f.grid
     d = grid.domain.d
-    if np.any(f.values < 0.0):
-        raise ValueError("localization_bound requires f >= 0")
-    T = eta**2 / 8.0
+    _require_nonnegative(f, "localization_bound")
+    T = time_lap(eta)
     cutoff = build_cutoff(eta, T, R)
     ext = cutoff.exterior_box(d)
     box = grid.domain
@@ -413,7 +422,7 @@ def localization_bound(
             or np.any(box.rx < ext.rx - tol) or np.any(box.rv < ext.rv - tol)):
         raise ValueError("grid must cover the cutoff support box")
 
-    zero_frac = zero_fraction(f, eta, alpha0)
+    zero_frac = zero_fraction(f, eta)
     sup_f = float(np.max(f.values))
     q1 = q_one(d)
     pars = theta0_parameters(eta, d)

@@ -4,7 +4,9 @@ the way ``Tracer.install`` looks it up but without patching anything, and
 every other ``kinfp`` name the benchmark reaches (found by reading the
 source of ``perfbench/workloads.py`` and ``perfbench/spans.py``).  A
 deletion or rename that would break ``from kinfp.x import *`` or the
-benchmark run fails here."""
+benchmark run fails here.  And every defaulted parameter of ``kinfp`` is
+set by some call in the repository: a value no caller changes is a
+constant."""
 
 import ast
 import importlib
@@ -18,7 +20,8 @@ import kinfp
 from kinfp import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(kinfp.__path__))
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
 
@@ -105,3 +108,99 @@ def test_one_hypothesis_error():
              if isinstance(obj, type)
              and obj.__name__.endswith("HypothesisError")}
     assert found == {HypothesisError}
+
+
+# (module, callee, parameter) set only in ways a call-site scan cannot see
+CENSUS_ALLOWED = {
+    # the test of the shared domain gates calls it through a loop variable
+    ("harness", "verify_harnack", "R0"),
+}
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _is_dataclass(cls):
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _init_default(stmt):
+    """Whether a dataclass field has a default that ``__init__`` takes
+    (a ``field(init=False)`` is no parameter)."""
+    value = stmt.value
+    return value is not None and not (
+        isinstance(value, ast.Call) and _name(value.func) == "field"
+        and any(kw.arg == "init" for kw in value.keywords))
+
+
+def defaulted_parameters(tree):
+    """(callee, position, name) of every parameter with a default in a
+    module: callee is the function's name, a method's name or, for
+    ``__init__`` and dataclass fields, the class's name; position is the
+    index of a positional argument that sets it (``self`` not counted),
+    None for a keyword-only one."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    fields_ = [s for s in child.body
+                               if isinstance(s, ast.AnnAssign)
+                               and isinstance(s.target, ast.Name)]
+                    found.extend((child.name, i, s.target.id)
+                                 for i, s in enumerate(fields_)
+                                 if _init_default(s))
+                visit(child, child)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                pos = args.posonlyargs + args.args
+                skip = 1 if cls is not None and not any(
+                    _name(d) == "staticmethod"
+                    for d in child.decorator_list) else 0
+                name = (cls.name if cls is not None and child.name == "__init__"
+                        else child.name)
+                first = len(pos) - len(args.defaults)
+                found.extend((name, i - skip, pos[i].arg)
+                             for i in range(first, len(pos)))
+                found.extend((name, None, a.arg) for a, dflt
+                             in zip(args.kwonlyargs, args.kw_defaults)
+                             if dflt is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def call_arguments(paths):
+    """(callee, position) and (callee, keyword) of every argument passed
+    by a call in the files, the callee being the called name or attribute.
+    Positions stop at a ``*args``; a ``**kwargs`` sets nothing."""
+    passed = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = _name(node.func)
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                passed.add((callee, i))
+            passed.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+    return passed
+
+
+def test_every_default_is_set_by_a_caller():
+    passed = call_arguments(
+        path for top in ("src", "tests", "demos", "perfbench")
+        for path in sorted((ROOT / top).rglob("*.py")))
+    never = {(name, callee, param)
+             for name in MODULES
+             for callee, pos, param in defaulted_parameters(ast.parse(
+                 (ROOT / "src" / "kinfp" / f"{name}.py").read_text()))
+             if (callee, pos) not in passed and (callee, param) not in passed}
+    assert never == CENSUS_ALLOWED

@@ -46,7 +46,7 @@ from kinfp.harness import (
     verify_weak_harnack,
     verify_weak_poincare,
 )
-from kinfp.kolmogorov import build_cutoff
+from kinfp.kolmogorov import build_cutoff, localization_bound
 from kinfp.logtransform import energy_estimate_check, log_transform
 
 
@@ -265,6 +265,15 @@ class TestWeakHarnack:
                         dtype="<f8").tobytes()
         assert hashlib.sha256(bits).hexdigest()[:16] == digest
 
+    def test_ensemble_rejects_unknown_kind_and_params(self):
+        with pytest.raises(ValueError, match="kernel-mixture"):
+            ExperimentEnsemble(kind="kernel-mixture")
+        with pytest.raises(ValueError, match="cel_size"):
+            ExperimentEnsemble(params={"cel_size": 0.5})
+        # the keys a member reads, among them every key perfbench passes
+        ExperimentEnsemble(params=dict.fromkeys(
+            ("coeff_kind", "lam", "Lam", "n", "cell_size", "radius")))
+
     def test_solver_rough_member_d2(self):
         ens = ExperimentEnsemble(kind="solver-rough", count=1, d=2,
                                  params={"n": (4, 6, 6)})
@@ -303,6 +312,23 @@ class TestPoincare:
         with pytest.raises(HypothesisError):
             verify_weak_poincare(ScalarField(g, -np.ones(g.shape)), H, eta)
 
+    @pytest.mark.parametrize("check, name", [
+        (lambda f, H, eta: verify_weak_poincare(f, H, eta), "weak Poincare"),
+        (lambda f, H, eta: verify_local_poincare(
+            f, H, build_cutoff(eta, eta**2 / 8, 1.0)), "local Poincare"),
+        (lambda f, H, eta: localization_bound(f, eta), "localization_bound"),
+    ], ids=["weak-poincare", "local-poincare", "localization"])
+    def test_one_nonnegativity_hypothesis(self, check, name):
+        g = Grid(BoxCylinder(-1.0, 0.0, np.zeros(1), 1.0, np.zeros(1), 1.0),
+                 4, 4, 4)
+        values = np.ones(g.shape)
+        values[1, 2, 3] = -1e-300
+        H = NegSobolevInput(ScalarField(g, np.zeros(g.shape)),
+                            VectorField(g, np.zeros(g.shape + (1,))))
+        with pytest.raises(HypothesisError) as err:
+            check(ScalarField(g, values), H, 0.5)
+        assert str(err.value) == f"{name} requires f >= 0"
+
     def test_local_poincare(self):
         eta = pop_parameters(0.5).eta
         box = BoxCylinder(-1.0 - eta**2, 0.0, np.zeros(1), 8.0,
@@ -339,8 +365,8 @@ class TestPositivityChain:
          "positivity-measure"),
         (lambda f: verify_minima_measure(f, 3, 1.0), "minima-measure"),
         (lambda f: verify_pop_large_times(
-            f, PhasePoint(-1.0 + 0.5e-4, np.zeros(1), np.zeros(1)), 0.004,
-            A=1.0), "large-times"),
+            f, PhasePoint(-1.0 + 0.5e-4, np.zeros(1), np.zeros(1)), 0.004),
+         "large-times"),
     ], ids=["pop", "minima-measure", "pop-large-times"])
     def test_half_measure_messages(self, check, name):
         with pytest.raises(HypothesisError) as err:
@@ -369,8 +395,10 @@ class TestPositivityChain:
         r = 0.004
         f0, _ = make_kernel_mixture(5)
         f = normalize_by_infimum(f0, Cylinder(z0, r))
-        rep = verify_pop_large_times(f, z0, r, A=1.0, ell0=0.25)
+        rep = verify_pop_large_times(f, z0, r)
         assert rep.passed
+        assert (rep.params["A"], rep.params["ell0"], rep.params["p0"]) == (
+            1.0, 0.25, 1.0)
         assert rep.params["value_fraction"] == 1.0
         assert rep.lhs >= rep.rhs
         assert all(v > 0 for v in rep.details["stack_infima"])
