@@ -71,22 +71,6 @@ from .report import HypothesisError, VerificationReport
 
 logger = logging.getLogger("kinfp")
 
-EXPERIMENT_KINDS = [
-    "geometry-check",
-    "kernel-check",
-    "solve",
-    "weak-poincare",
-    "pop",
-    "minima-measure",
-    "pop-large-times",
-    "weak-harnack",
-    "harnack",
-    "holder",
-    "inkspots",
-    "all",
-]
-
-
 class ConfigError(ValueError):
     pass
 
@@ -322,7 +306,7 @@ def _run_solve(cfg: ExperimentConfig) -> list[dict]:
     # coordinates
     _, X, V = grid.open_coords
     init = kernel_eval(box.t_min, X[0], V[0], pole)
-    f = solve(SolverConfig(grid, coeffs, init))
+    f = solve(SolverConfig(coeffs, init))
     rows = []
     if cfg.coeff_kind == "constant" and cfg.lam == cfg.lambda_max == 1.0:
         exact = grid.sample(lambda T, X, V: kernel_eval(T, X, V, pole)).values
@@ -483,6 +467,9 @@ _RUNNERS = {
     "inkspots": _run_inkspots,
 }
 
+# the runners in dispatch order, then "all", which runs each of them
+EXPERIMENT_KINDS = [*_RUNNERS, "all"]
+
 
 # ---------------------------------------------------------------------------
 # orchestration
@@ -506,8 +493,7 @@ def _csv_bytes(rows: list[dict]) -> bytes:
 def _run_kinds(cfg: ExperimentConfig) -> list[dict]:
     """The rows of every configured kind, in dispatch order, each kind's
     rows sorted by (id, seed)."""
-    kinds = ([k for k in EXPERIMENT_KINDS if k != "all"]
-             if cfg.kind == "all" else [cfg.kind])
+    kinds = list(_RUNNERS) if cfg.kind == "all" else [cfg.kind]
     rows: list[dict] = []
     for k in kinds:
         rows.extend(sorted(_RUNNERS[k](cfg),

@@ -17,9 +17,12 @@ Scheme: operator splitting, first order in time.
 * drift B . grad_v: explicit upwind.
 
 Work split: whatever depends only on the grid or on the coefficients is
-built outside the time loop.  The transport plan (per x-axis, the slabs of
-columns that share an integer shift, their weights and the pad rows the
-x boundary needs) is built once per solve.  The v-diffusion is factored
+built outside the time loop.  The transport plan is built once per solve:
+per x-axis, the copies ``_pad_copies`` makes to fill the source's pad rows
+for the x boundary (the one place that writes x-boundary values), and the
+shift that interpolates the padded source (the linear shift's slabs of
+columns that share an integer shift and their weights, or the pchip
+shift's foot rows and Hermite weights).  The v-diffusion is factored
 once per distinct coefficient slice: the bands and the elimination factors
 are kept while A's diagonal slice at the next step equals the last one
 factored (a piecewise-constant-in-time A refactors only where it jumps),
@@ -86,14 +89,14 @@ _CFL_SAFETY = 0.9  # dt may use this share of each explicit step limit
 class SolverConfig:
     """Everything one time integration needs.
 
-    ``initial`` is the slice at the opening time of the grid's window (the
-    grid itself stores only the n_t later slices).  The coefficients were
-    validated when they were built; their ``b_l1_max`` gives the drift
-    limit.  The upwind drift step adds every v-axis's update to the same
-    old values, so it is monotone while dt (|B_1| + ... + |B_d|) <= dv.
+    The solve runs on the coefficients' grid.  ``initial`` is the slice at
+    the opening time of the grid's window (the grid itself stores only the
+    n_t later slices).  The coefficients were validated when they were
+    built; their ``b_l1_max`` gives the drift limit.  The upwind drift step
+    adds every v-axis's update to the same old values, so it is monotone
+    while dt (|B_1| + ... + |B_d|) <= dv.
     """
 
-    grid: Grid
     coeffs: CoefficientField
     initial: np.ndarray
     bc_x: str = "dirichlet"
@@ -114,6 +117,10 @@ class SolverConfig:
         if self.transport_interp not in ("linear", "pchip"):
             raise ValueError("transport_interp must be 'linear' or 'pchip'")
         self._check_cfl()
+
+    @property
+    def grid(self) -> Grid:
+        return self.coeffs.grid
 
     def _check_cfl(self):
         g = self.grid
@@ -159,19 +166,17 @@ class _LinearShift:
     of column j becomes (1 - frac_j) f[i - k_j] + frac_j f[i - k_j - 1]
     with k_j = floor(cells_j), a convex combination of node values --
     monotone and linear in the data.  The source holds the n data rows
-    between ``lo`` pad rows below and ``hi`` above, which ``_pad_copies``
-    fills for the x boundary, so the columns that share an integer shift
-    read both feet as two slabs of whole rows: no gather.  The slabs and
-    the weights depend only on the grid and are built once; ``bind`` makes
-    the views of one source, output and scratch array once, so a step is
-    the pad copies and three ufunc calls per slab.
+    between ``lo`` pad rows below and ``hi`` above, so the columns that
+    share an integer shift read both feet as two slabs of whole rows: no
+    gather.  The slabs and the weights depend only on the grid and are
+    built once; ``bind`` makes the views of one source, output and scratch
+    array once, so a step is three ufunc calls per slab.
     """
 
-    def __init__(self, cells, n, bc):
+    def __init__(self, cells, n):
         k = np.floor(cells).astype(int)
         frac = cells - k
         self.lo, self.hi = max(int(k.max()) + 1, 0), max(-int(k.min()), 0)
-        self.pads = _pad_copies(n, self.lo, self.hi, bc)
         # each column's weight spread over its n rows, laid out column by
         # column as the slice is: a multiply with a broadcast axis takes
         # numpy about twice as long
@@ -190,27 +195,18 @@ class _LinearShift:
         and the v axis second, of the padded source, the output and a
         scratch array of the output's shape."""
         rest = (1,) * (out.ndim - 2)  # the weights broadcast over the rest
-        pads = [(src[to], src[fr]) for to, fr in self.pads]
         slabs = [(src[feet0, cols], w0.reshape(w0.shape + rest), out[:, cols],
                   src[feet1, cols], w1.reshape(w1.shape + rest), tmp[:, cols])
                  for cols, feet0, feet1, w0, w1 in self.slabs]
-        mul, add, copy = np.multiply, np.add, np.copyto
+        mul, add = np.multiply, np.add
 
         def step():
-            for to, fr in pads:
-                copy(to, fr)
             for a, w0, o, b, w1, t in slabs:
                 mul(a, w0, o)
                 mul(b, w1, t)
                 add(o, t, o)
 
         return step
-
-
-def _gather_rows(idx, m):
-    """Row numbers ``idx * m + column`` in the (n * m, r) view of a (n, m, r)
-    block, for a foot index ``idx`` of shape (n, m)."""
-    return idx * m + np.arange(m)
 
 
 def _pchip_slopes(slopes):
@@ -223,72 +219,49 @@ def _pchip_slopes(slopes):
     return d
 
 
-_PCHIP_GHOSTS = 4  # deep ghosts are constant, so their slopes vanish
-
-
 class _PchipShift:
     """Per-column constant shift with monotone cubic (pchip) interpolation.
 
     Derivative limiting keeps the interpolant inside the local data range
     (so positivity is preserved) while the error away from extrema is third
     order in the spacing.  Unlike linear interpolation this map is not
-    linear in the data.  The foot rows and the Hermite basis weights depend
-    only on the grid and are built once; a step computes the node
-    derivatives on its own ghost-extended line and gathers.  It is bound
-    as ``_LinearShift`` is, and reads no pad rows.
+    linear in the data.  It reads the padded source ``_LinearShift``
+    reads, here 4 rows deep.  A foot is clamped to 2 rows outside the data,
+    so its two nodes and the slopes beside them stay within the pads, where
+    ``copy-out`` and ``dirichlet`` data are constant and their slopes
+    vanish; a ``periodic`` foot wraps by ``% n`` and the pads continue the
+    line.  That clamp and wrap are all it knows of the x boundary.  The
+    foot rows and the Hermite basis weights depend only on the grid and
+    are built once; a step takes the node derivatives on the padded line
+    and gathers.
     """
 
-    lo = hi = 0
+    lo = hi = 4
 
-    def __init__(self, cells, n, bc):
+    def __init__(self, cells, n, periodic):
         m = cells.size
-        base = np.arange(n)[:, None]
-        G = _PCHIP_GHOSTS
-        if bc == "periodic":
-            p = (base - cells[None, :]) % n
-            kf = np.floor(p).astype(int)
-            left, right = kf, (kf + 1) % n
-        else:
-            p = np.clip(base - cells[None, :], -(G - 2), n + G - 3)
-            kf = np.floor(p).astype(int)
-            left = kf + G
-            right = left + 1
+        p = np.arange(n)[:, None] - cells[None, :]  # the foot, in data rows
+        p = p % n if periodic else np.clip(p, -2, n + 1)
+        kf = np.floor(p).astype(int)
         u = (p - kf)[..., None]
         u2, u3 = u * u, u * u * u
         self.basis = (2.0 * u3 - 3.0 * u2 + 1.0, u3 - 2.0 * u2 + u,
                       -2.0 * u3 + 3.0 * u2, u3 - u2)
-        self.rows = _gather_rows(left, m), _gather_rows(right, m)
-        self.bc = bc
-
-    def _nodes(self, block):
-        """Node values and derivatives on the (ghost-extended) line."""
-        if self.bc == "periodic":
-            slopes = np.roll(block, -1, axis=0) - block  # slope on [i, i+1]
-            # derivative at node i from slopes [i-1, i]
-            d = _pchip_slopes(np.concatenate([slopes[-1:], slopes], axis=0))
-            return block, d
-        G = _PCHIP_GHOSTS
-        if self.bc == "copy-out":
-            lo = np.repeat(block[:1], G, axis=0)
-            hi = np.repeat(block[-1:], G, axis=0)
-        else:
-            lo = hi = np.zeros((G,) + block.shape[1:])
-        ye = np.concatenate([lo, block, hi], axis=0)
-        slopes = ye[1:] - ye[:-1]
-        d = np.concatenate([slopes[:1], _pchip_slopes(slopes), slopes[-1:]],
-                           axis=0)
-        return ye, d
+        # the foot's left node, a row of the (rows * m, rest) source
+        self.left = (kf + self.lo) * m + np.arange(m)
 
     def bind(self, src, out, tmp):
         m = out.shape[1]
-        rl, rr = self.rows
+        # the foot's two nodes and their derivatives (node j's is row j - 1)
+        rl, rr, dl, dr = self.left, self.left + m, self.left - m, self.left
         h00, h10, h01, h11 = self.basis
 
         def step():
-            y, d = (a.reshape(a.shape[0] * m, -1) for a in self._nodes(src))
+            d = _pchip_slopes(src[1:] - src[:-1])
+            y, d = (a.reshape(a.shape[0] * m, -1) for a in (src, d))
             out[...] = (
-                np.take(y, rl, axis=0) * h00 + np.take(d, rl, axis=0) * h10
-                + np.take(y, rr, axis=0) * h01 + np.take(d, rr, axis=0) * h11
+                np.take(y, rl, axis=0) * h00 + np.take(d, dl, axis=0) * h10
+                + np.take(y, rr, axis=0) * h01 + np.take(d, dr, axis=0) * h11
             ).reshape(out.shape)
 
         return step
@@ -308,16 +281,19 @@ class _Transport:
     a view in grid axis order on memory ordered v axes first, so the rows
     of the v-diffusion sweep are contiguous at d = 1, and each x axis
     carries the pad rows its shift reads (x_a moves by dt * v_a, in cell
-    units per v_a).  ``f`` is the current slice, the buffer's data rows;
-    whatever works on it in place keeps the pads.
+    units per v_a).  Right before a shift runs, the copies of
+    ``_pad_copies`` fill its source's pad rows for the x boundary; that is
+    the one place the x boundary is written, and the shifts only
+    interpolate a padded source.  ``f`` is the current slice, the buffer's
+    data rows; whatever works on it in place keeps the pads.
     """
 
     def __init__(self, grid, dt, bc, interp):
         d, n = grid.d, grid.n_x
         ndim = 2 * d
-        shift = _LinearShift if interp == "linear" else _PchipShift
-        self.shifts = [shift(dt * grid.v_axis[a] / grid.dx, n, bc)
-                       for a in range(d)]
+        cells = [dt * grid.v_axis[a] / grid.dx for a in range(d)]
+        self.shifts = ([_LinearShift(c, n) for c in cells] if interp == "linear"
+                       else [_PchipShift(c, n, bc == "periodic") for c in cells])
         shape = [s.lo + n + s.hi for s in self.shifts] + [grid.n_v] * d
         mem = tuple(range(d, ndim)) + tuple(range(d))  # v axes outermost
         bufs = [np.zeros([shape[i] for i in mem]).transpose(np.argsort(mem))
@@ -326,15 +302,19 @@ class _Transport:
         self.f_of = [b[data] for b in bufs]
         tmp = np.empty_like(self.f_of[0])
         # per parity of the buffer a step starts from, its shifts in turn,
-        # each from one buffer into the other, with x_a first and v_a second
+        # each from one buffer into the other, with x_a first and v_a
+        # second: the pad copies of the source, then the shift
         self.steps = [[], []]
         for p, a in itertools.product((0, 1), range(d)):
             order = _axes_first(ndim, a, d + a)
-            src = data[:a] + (slice(None),) + data[a + 1:]
-            self.steps[p].append(self.shifts[a].bind(
-                bufs[(p + a) % 2][src].transpose(order),
-                self.f_of[(p + a + 1) % 2].transpose(order),
-                tmp.transpose(order)))
+            s = self.shifts[a]
+            src = bufs[(p + a) % 2][data[:a] + (slice(None),) + data[a + 1:]]
+            src = src.transpose(order)
+            pads = [(src[to], src[fr])
+                    for to, fr in _pad_copies(n, s.lo, s.hi, bc)]
+            self.steps[p].append((pads, s.bind(
+                src, self.f_of[(p + a + 1) % 2].transpose(order),
+                tmp.transpose(order))))
         self.cur = 0
 
     @property
@@ -342,8 +322,11 @@ class _Transport:
         return self.f_of[self.cur]
 
     def __call__(self):
-        for step in self.steps[self.cur]:
-            step()
+        copy = np.copyto
+        for pads, shift in self.steps[self.cur]:
+            for to, fr in pads:
+                copy(to, fr)
+            shift()
         self.cur = (self.cur + len(self.shifts)) % 2
 
 

@@ -313,7 +313,7 @@ class ExperimentEnsemble:
             r2 = (np.sum((X - c[:d]) ** 2, axis=-1)
                   + np.sum((V - c[d:]) ** 2, axis=-1))
             init += w * np.exp(-r2 / (2 * s**2))
-        f = solve(SolverConfig(grid, coeffs, init, bc_x="copy-out",
+        f = solve(SolverConfig(coeffs, init, bc_x="copy-out",
                                bc_v="zero-flux"))
         meta = {"seed": seed, "coeff_kind": coeff_kind, "lam": lam,
                 "Lam": Lam, "n": list(n), "radius": radius}

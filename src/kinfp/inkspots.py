@@ -298,19 +298,12 @@ def _unit_limit(c: float) -> float:
     return y
 
 
-def _dense_counts_1d(E: DiscreteSet, r: float, box=None):
-    """(n_in_E, n_in_Q) per candidate center, as arrays over a box of
-    centers: the grid index ranges ((i0, i1), (j0, j1), (l0, l1)) of box,
-    half open, in (t, x, v) order (the whole grid when None).  The count
-    geometry of the grid (``_box_plan``) applied to E's mask
-    (``_box_counts``); the result matches a brute-force scan exactly."""
-    plan = _box_plan(E.grid, r, box)
-    return _box_counts(plan, E._summed_area), plan.n_q
-
-
 def _box_plan(grid: Grid, r: float, box=None) -> _BoxPlan:
     """Count geometry of the d = 1 cylinders Q_r(z0) centered on a box of
-    cell centers (see ``_dense_counts_1d``), the same for every set.
+    cell centers, the same for every set: the grid index ranges
+    ((i0, i1), (j0, j1), (l0, l1)) of box, half open, in (t, x, v) order
+    (the whole grid when None).  ``_box_counts`` applies it to a set; the
+    counts match a brute-force scan exactly.
 
     Membership replicates the normalised comparisons of Cylinder.contains
     bit for bit.  For a center (i, j, l) and time offset a,

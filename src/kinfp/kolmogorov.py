@@ -107,7 +107,6 @@ def solve_cauchy(rhs: ScalarField) -> ScalarField:
     """
     grid = rhs.grid
     config = SolverConfig(
-        grid=grid,
         coeffs=make_coefficients(grid, "constant", 1.0, 1.0, S=rhs.values),
         initial=np.zeros(grid.shape[1:]),
         bc_x="dirichlet",
@@ -418,8 +417,12 @@ def localization_bound(
     ext = cutoff.exterior_box(d)
     box = grid.domain
     tol = 1e-9
+    # the grid's box holds the support box on every axis, centres included
     if (box.t_min > ext.t_min + tol or box.t_max < ext.t_max - tol
-            or np.any(box.rx < ext.rx - tol) or np.any(box.rv < ext.rv - tol)):
+            or np.any(np.abs(box.x_center - ext.x_center) + ext.rx
+                      > box.rx + tol)
+            or np.any(np.abs(box.v_center - ext.v_center) + ext.rv
+                      > box.rv + tol)):
         raise ValueError("grid must cover the cutoff support box")
 
     zero_frac = zero_fraction(f, eta)

@@ -138,8 +138,9 @@ def test_criterion_03_kernel_moments_and_residual():
            f"{[round(o, 3) for o in orders]} (-> 2)")
 
 
-def test_criterion_04_solver_convergence_and_positivity():
-    # kernel tracking: the exact fundamental solution as a moving target
+def _kernel_tracking_orders(interp):
+    """Convergence orders of the exact fundamental solution as a moving
+    target, at n = 16, 32, 64."""
     box = BoxCylinder(0.5, 1.0, np.zeros(1), 6.0, np.zeros(1), 5.0)
     errs = []
     for n in (16, 32, 64):
@@ -149,14 +150,17 @@ def test_criterion_04_solver_convergence_and_positivity():
         V0 = g.v_axis[0][None, :] * np.ones((g.n_x, 1))
         init = kernel_eval(np.full(X0.shape, box.t_min), X0[..., None],
                            V0[..., None], origin(1))
-        f = solve(SolverConfig(g, c, init, transport_interp="pchip"))
+        f = solve(SolverConfig(c, init, transport_interp=interp))
         T, X, V = g.coords
         exact = kernel_eval(T, X, V, origin(1))
         errs.append(float(np.sum(np.abs(f.values[-1] - exact[-1]))
                           * g.dx * g.dv))
-    track_orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    return [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
 
-    # manufactured solution u = (t - t0) * gaussian(x) * gaussian(v)
+
+def _manufactured_orders(interp):
+    """Convergence orders of the manufactured solution
+    u = (t - t0) * gaussian(x) * gaussian(v), at n = 16, 32, 64."""
     t0 = 0.0
     merrs = []
     for n in (16, 32, 64):
@@ -171,11 +175,20 @@ def test_criterion_04_solver_convergence_and_positivity():
         eye[..., 0, 0] = 1.0
         coeffs = CoefficientField(g, eye, np.zeros(g.shape + (1,)), S,
                                   lam=1.0, Lam=1.0)
-        f = solve(SolverConfig(g, coeffs, np.zeros(g.shape[1:]),
-                               transport_interp="pchip"))
+        f = solve(SolverConfig(coeffs, np.zeros(g.shape[1:]),
+                               transport_interp=interp))
         merrs.append(float(np.sum(np.abs(f.values[-1] - u[-1]))
                            * g.dx * g.dv))
-    man_orders = [math.log2(merrs[i] / merrs[i + 1]) for i in range(2)]
+    return [math.log2(merrs[i] / merrs[i + 1]) for i in range(2)]
+
+
+def test_criterion_04_solver_convergence_and_positivity():
+    # the order bound is certified for pchip transport; the linear
+    # transport every library solve runs is measured and printed, not gated
+    track_orders = _kernel_tracking_orders("pchip")
+    man_orders = _manufactured_orders("pchip")
+    linear_orders = (_kernel_tracking_orders("linear"),
+                     _manufactured_orders("linear"))
 
     rng = np.random.default_rng(4)
     worst_min = 0.0
@@ -184,14 +197,18 @@ def test_criterion_04_solver_convergence_and_positivity():
                  12, 24, 12)
         c = make_coefficients(g, "random", 0.5, 2.0,
                               seed=int(rng.integers(1 << 30)))
-        f = solve(SolverConfig(g, c, rng.uniform(0, 1, (g.n_x, g.n_v))))
+        f = solve(SolverConfig(c, rng.uniform(0, 1, (g.n_x, g.n_v))))
         worst_min = min(worst_min, float(f.values.min()))
     ok = (min(track_orders) >= 1.0 and min(man_orders) >= 1.0
           and worst_min >= -1e-12)
     report("04 solver orders", ok,
-           f"tracking orders {[round(o, 2) for o in track_orders]} (>=1), "
-           f"manufactured orders {[round(o, 2) for o in man_orders]} (>=1), "
-           f"min over 100 nonneg runs {worst_min:.1e} (>=-1e-12)")
+           f"pchip tracking orders {[round(o, 2) for o in track_orders]} "
+           f"(>=1), manufactured orders {[round(o, 2) for o in man_orders]} "
+           f"(>=1), "
+           f"min over 100 nonneg runs {worst_min:.1e} (>=-1e-12); "
+           f"linear transport, not gated: tracking orders "
+           f"{[round(o, 2) for o in linear_orders[0]]}, manufactured orders "
+           f"{[round(o, 2) for o in linear_orders[1]]}")
 
 
 def test_criterion_05_log_transform_profile():

@@ -6,7 +6,8 @@ source of ``perfbench/workloads.py`` and ``perfbench/spans.py``).  A
 deletion or rename that would break ``from kinfp.x import *`` or the
 benchmark run fails here.  And every defaulted parameter of ``kinfp`` is
 set by some call in the repository: a value no caller changes is a
-constant."""
+constant; one that only tests and criteria set is listed with the check
+that needs it."""
 
 import ast
 import importlib
@@ -194,13 +195,52 @@ def call_arguments(paths):
     return passed
 
 
+def unset_defaults(tops):
+    """(module, callee, parameter) of each defaulted parameter of ``kinfp``
+    that no call in the Python files under the top-level directories
+    ``tops`` sets."""
+    passed = call_arguments(path for top in tops
+                            for path in sorted((ROOT / top).rglob("*.py")))
+    return {(name, callee, param)
+            for name in MODULES
+            for callee, pos, param in defaulted_parameters(ast.parse(
+                (ROOT / "src" / "kinfp" / f"{name}.py").read_text()))
+            if (callee, pos) not in passed and (callee, param) not in passed}
+
+
 def test_every_default_is_set_by_a_caller():
-    passed = call_arguments(
-        path for top in ("src", "tests", "demos", "perfbench")
-        for path in sorted((ROOT / top).rglob("*.py")))
-    never = {(name, callee, param)
-             for name in MODULES
-             for callee, pos, param in defaulted_parameters(ast.parse(
-                 (ROOT / "src" / "kinfp" / f"{name}.py").read_text()))
-             if (callee, pos) not in passed and (callee, param) not in passed}
-    assert never == CENSUS_ALLOWED
+    assert unset_defaults(("src", "tests", "demos", "perfbench")) == (
+        CENSUS_ALLOWED)
+
+
+# (module, callee, parameter) that no call in the library or the benchmark
+# sets, each with the test or criterion that needs it
+SET_ONLY_BY_CHECKS = {
+    ("cli", "ExperimentConfig", "out"):
+        "the config file's [experiment] out, read through **values "
+        "(test_cli TestConfigParsing::test_every_key_read_with_its_type)",
+    ("cli", "main", "argv"): "test_cli TestMain",
+    ("fpsolver", "SolverConfig", "transport_interp"):
+        "pchip transport: criterion 04 and the golden trajectories",
+    ("harness", "ExperimentEnsemble", "d"):
+        "test_harness TestWeakHarnack::test_solver_rough_member_d2",
+    ("harness", "normalize_by_infimum", "n"): "criterion 07",
+    ("harness", "verify_expansion_of_positivity", "n_local"): "criterion 07",
+    ("harness", "verify_harnack", "R0"):
+        "test_harness test_harnack_and_weak_harnack_share_domain_gates",
+    ("harness", "verify_harnack", "n_local"):
+        "test_harness test_harnack_reuses_weak_harnack_exactly_d2",
+    ("harness", "verify_weak_harnack", "R0"):
+        "test_harness TestWeakHarnack::test_domain_gates",
+    ("harness", "verify_weak_harnack", "frame"):
+        "criterion 08 and test_harness test_weak_harnack_in_a_frame",
+    ("harness", "verify_weak_harnack", "n_local"):
+        "test_harness test_weak_harnack_in_a_frame",
+    ("inkspots", "verify_inkspots", "radii"):
+        "test_inkspots TestVerifyInkspots, at radii [0.2, 0.1]",
+    ("kolmogorov", "localization_bound", "R"): "criterion 06b",
+}
+
+
+def test_every_default_only_checks_set_is_listed():
+    assert unset_defaults(("src", "perfbench")) == set(SET_ONLY_BY_CHECKS)

@@ -35,17 +35,42 @@ def kernel_initial(grid):
 
 class TestBasics:
     def test_constant_preserved(self):
+        # both interpolants read the pads the x boundary fills
         g = make_grid((8, 16, 8))
         c = make_coefficients(g, "constant", 1.0, 1.0)
-        f = solve(SolverConfig(g, c, np.full((g.n_x, g.n_v), 2.5),
-                               bc_x="copy-out", bc_v="zero-flux"))
-        assert np.allclose(f.values, 2.5, atol=1e-12)
+        for bc_x, interp in itertools.product(("copy-out", "periodic"),
+                                              ("linear", "pchip")):
+            f = solve(SolverConfig(c, np.full((g.n_x, g.n_v), 2.5),
+                                   bc_x=bc_x, bc_v="zero-flux",
+                                   transport_interp=interp))
+            assert np.allclose(f.values, 2.5, atol=1e-12), (bc_x, interp)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"initial": np.zeros((3, 3))},
+         r"^initial slice shape \(3, 3\) does not match grid spatial "
+         r"shape \(16, 8\)$"),
+        ({"bc_x": "open"}, r"^bc_x must be one of \('dirichlet', "),
+        ({"bc_v": "periodic"}, r"^bc_v must be one of \('dirichlet', "),
+        ({"transport_interp": "cubic"},
+         r"^transport_interp must be 'linear' or 'pchip'$"),
+    ], ids=["initial", "bc_x", "bc_v", "transport_interp"])
+    def test_config_rejects(self, change, message):
+        g = make_grid((8, 16, 8))
+        c = make_coefficients(g, "constant", 1.0, 1.0)
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{"coeffs": c, "initial": np.zeros((16, 8)),
+                            **change})
+
+    def test_config_grid_is_the_coefficients_grid(self):
+        g = make_grid((8, 16, 8))
+        c = make_coefficients(g, "constant", 1.0, 1.0)
+        assert SolverConfig(c, np.zeros((g.n_x, g.n_v))).grid is c.grid
 
     def test_mass_conservation_linear_transport(self):
         g = make_grid((32, 48, 24))
         c = make_coefficients(g, "checkerboard", 1.0, 2.0)
         init = kernel_initial(g)
-        f = solve(SolverConfig(g, c, init, bc_x="periodic", bc_v="zero-flux"))
+        f = solve(SolverConfig(c, init, bc_x="periodic", bc_v="zero-flux"))
         m0 = init.sum()
         drift = abs(f.values[-1].sum() - m0) / m0
         assert drift <= 1e-12
@@ -57,7 +82,7 @@ class TestBasics:
             c = make_coefficients(g, "random", 0.5, 2.0,
                                   seed=int(rng.integers(1 << 30)))
             init = rng.uniform(0, 1, (g.n_x, g.n_v))
-            f = solve(SolverConfig(g, c, init))
+            f = solve(SolverConfig(c, init))
             assert f.values.min() >= -1e-12
 
     def test_cfl_guard(self):
@@ -66,7 +91,7 @@ class TestBasics:
                                                   np.zeros(1), 5.0))
         c = make_coefficients(g, "constant", 1.0, 1.0)
         with pytest.raises(CFLError):
-            solve(SolverConfig(g, c, np.zeros((g.n_x, g.n_v))))
+            solve(SolverConfig(c, np.zeros((g.n_x, g.n_v))))
 
     def test_nan_abort(self):
         g = make_grid((8, 16, 8))
@@ -74,7 +99,7 @@ class TestBasics:
         init = np.full((g.n_x, g.n_v), 1.0)
         init[0, 0] = np.inf
         with pytest.raises(NumericalAbort):
-            solve(SolverConfig(g, c, init))
+            solve(SolverConfig(c, init))
 
 
 def thomas_reference(lower, diag, upper, rhs):
@@ -129,7 +154,7 @@ class TestTridiagonal:
             calls.clear()
             # cell_size 0.3: time cells -4..0 over t in (-1, 0]
             c = make_coefficients(g, kind, 1.0, 4.0, cell_size=0.3)
-            solve(SolverConfig(g, c, init, bc_x="copy-out", bc_v="zero-flux"))
+            solve(SolverConfig(c, init, bc_x="copy-out", bc_v="zero-flux"))
             assert len(calls) == expected, kind
 
 
@@ -151,9 +176,9 @@ def test_d2_drift_cfl_bounds_the_l1_norm_of_b():
     g, c, init = setup(0.4)
     assert g.dt / g.dv == pytest.approx(0.8)
     with pytest.raises(CFLError):
-        SolverConfig(g, c, init, bc_x="periodic", bc_v="zero-flux")
+        SolverConfig(c, init, bc_x="periodic", bc_v="zero-flux")
     g, c, init = setup(0.3)  # dt / dv = 0.6 <= 0.9 / sqrt(2)
-    f = solve(SolverConfig(g, c, init, bc_x="periodic", bc_v="zero-flux"))
+    f = solve(SolverConfig(c, init, bc_x="periodic", bc_v="zero-flux"))
     assert f.values.min() >= 0.0
 
 
@@ -188,7 +213,7 @@ def test_golden_trajectories(case):
     for bc_x, bc_v in itertools.product(("dirichlet", "copy-out", "periodic"),
                                         ("dirichlet", "zero-flux")):
         init = np.random.default_rng(7).uniform(-0.5, 1.0, g.shape[1:])
-        f = solve(SolverConfig(g, c, init, bc_x=bc_x, bc_v=bc_v,
+        f = solve(SolverConfig(c, init, bc_x=bc_x, bc_v=bc_v,
                                transport_interp=interp))
         h.update(f.values.tobytes())
     assert h.hexdigest()[:16] == GOLDEN[case]
@@ -236,7 +261,7 @@ def test_golden_large_shift_trajectories(case, monkeypatch):
     for bc_x, bc_v in itertools.product(("dirichlet", "copy-out", "periodic"),
                                         ("dirichlet", "zero-flux")):
         init = np.random.default_rng(11).uniform(-0.5, 1.0, g.shape[1:])
-        f = solve(SolverConfig(g, c, init, bc_x=bc_x, bc_v=bc_v,
+        f = solve(SolverConfig(c, init, bc_x=bc_x, bc_v=bc_v,
                                transport_interp=interp))
         h.update(f.values.tobytes())
     assert h.hexdigest()[:16] == GOLDEN_LARGE_SHIFT[case]
@@ -252,7 +277,7 @@ class TestKernelTracking:
             g = Grid(box, n, 2 * n, n)
             c = make_coefficients(g, "constant", 1.0, 1.0)
             init = kernel_initial(g)
-            f = solve(SolverConfig(g, c, init, transport_interp=interp))
+            f = solve(SolverConfig(c, init, transport_interp=interp))
             T, X, V = g.coords
             exact = kernel_eval(T, X, V, origin(1))
             errs.append(float(np.sum(np.abs(f.values[-1] - exact[-1]))
@@ -268,7 +293,7 @@ class TestWeakResidual:
     def fixture(self):
         g = make_grid((24, 48, 24))
         c = make_coefficients(g, "constant", 1.0, 1.0)
-        f = solve(SolverConfig(g, c, kernel_initial(g)))
+        f = solve(SolverConfig(c, kernel_initial(g)))
         return g, c, f
 
     def test_solution_mode(self):
@@ -286,7 +311,7 @@ class TestWeakResidual:
         g = make_grid((24, 48, 24))
         S = np.full(g.shape, 0.05)
         c = make_coefficients(g, "constant", 1.0, 1.0, S=S)
-        f = solve(SolverConfig(g, c, kernel_initial(g)))
+        f = solve(SolverConfig(c, kernel_initial(g)))
         c0 = make_coefficients(g, "constant", 1.0, 1.0)
         res = weak_residual(f, c0, "super", default_test_set(g, 4, 0))
         assert res["passed"]

@@ -668,7 +668,7 @@ class TestOpenCoordinates:
         box = BoxCylinder(0.5, 1.0, np.zeros(1), 6.0, np.zeros(1), 5.0)
         g = Grid(box, 8, 16, 8)
         c = make_coefficients(g, "constant", 1.0, 1.0)
-        f = solve(SolverConfig(g, c, np.ones((g.n_x, g.n_v))))
+        f = solve(SolverConfig(c, np.ones((g.n_x, g.n_v))))
         weak_residual(f, c, "super", default_test_set(g, 2, 0))
         assert "coords" not in g.__dict__
 

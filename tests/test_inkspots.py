@@ -13,7 +13,8 @@ from kinfp.geometry import Cylinder, PhasePoint, cylinder_in_cylinder
 from kinfp.inkspots import (
     DiscreteSet,
     _default_radii,
-    _dense_counts_1d,
+    _box_counts,
+    _box_plan,
     _mark_stacks,
     find_dense_cylinders,
     generate_hypothesis_pair,
@@ -24,6 +25,14 @@ from kinfp.inkspots import (
     verify_inkspots,
 )
 from kinfp.report import HypothesisError
+
+
+def dense_counts(E, r, box=None):
+    """(n_in_E, n_in_Q) per candidate center of the d = 1 scan at radius r,
+    as arrays over a box of centers (``_box_plan``; the whole grid when
+    None): the plan's counts of E's cells and of every cell."""
+    plan = _box_plan(E.grid, r, box)
+    return _box_counts(plan, E._summed_area), plan.n_q
 
 
 def region_set(grid, mask):
@@ -164,7 +173,7 @@ class TestFindDenseCylinders:
                 for Q in find_dense_cylinders(E, 0.3, radii)}
         assert fast == brute_force_scan(E, 0.3, radii)
         for r in radii:
-            n_e, n_q = _dense_counts_1d(E, r)
+            n_e, n_q = dense_counts(E, r)
             ref_e, ref_q = brute_force_counts(E, r)
             assert np.array_equal(n_q, ref_q) and np.array_equal(n_e, ref_e)
 
@@ -174,13 +183,13 @@ class TestFindDenseCylinders:
         g = standard_grid((20, 12, 10))
         rng = np.random.default_rng(7)
         E = region_set(g, rng.uniform(size=g.shape) < 0.7)
-        n_e, n_q = _dense_counts_1d(E, r)
+        n_e, n_q = dense_counts(E, r)
         ref_e, ref_q = brute_force_counts(E, r)
         assert np.array_equal(n_q, ref_q) and np.array_equal(n_e, ref_e)
 
 
 class TestBoxedCounts:
-    """``_dense_counts_1d`` over a box of centers equals the same box of
+    """``dense_counts`` over a box of centers equals the same box of
     the whole-grid counts, and ``DiscreteSet._counts`` counts exactly the
     bounding box of its admissible centers."""
 
@@ -192,7 +201,7 @@ class TestBoxedCounts:
         radii = _default_radii(E.grid) + [0.75, 0.375, 0.1875]
         for S in (E, F):
             for r in radii:
-                n_e, n_q = _dense_counts_1d(S, r)
+                n_e, n_q = dense_counts(S, r)
                 where, box_e, box_q = S._counts(r)
                 assert box_e.dtype == box_q.dtype == np.int32
                 assert np.array_equal(box_e, n_e.ravel()[where])
@@ -212,8 +221,8 @@ class TestBoxedCounts:
             st.integers(0, size), min_size=2, max_size=2, unique=True))))
             for size in g.shape)
         window = tuple(slice(*b) for b in box)
-        for whole, boxed in zip(_dense_counts_1d(E, r),
-                                _dense_counts_1d(E, r, box)):
+        for whole, boxed in zip(dense_counts(E, r),
+                                dense_counts(E, r, box)):
             assert np.array_equal(boxed, whole[window])
 
     def test_counts_take_the_bounding_box_of_admissible_centers(

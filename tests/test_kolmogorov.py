@@ -358,6 +358,19 @@ class TestLocalization:
         assert out["passed_P"]
         assert out["passed_E"]
 
+    @pytest.mark.parametrize("x_center, v_center", [(5.0, 0.0), (0.0, 1.0)])
+    def test_rejects_an_off_centre_grid(self, x_center, v_center):
+        # radii 8 and 2 equal the support box's, but the box sits off
+        # centre, so it misses part of B_8 x B_2
+        eta = pop_parameters(0.5).eta
+        box = BoxCylinder(-1.0 - eta**2, 0.0, np.full(1, x_center), 8.0,
+                          np.full(1, v_center), 2.0)
+        g = Grid(box, 32, 128, 16)
+        f = ScalarField(g, np.zeros(g.shape))
+        with pytest.raises(ValueError,
+                           match="^grid must cover the cutoff support box$"):
+            localization_bound(f, eta)
+
     def test_rejects_zero_set_too_small(self):
         eta = pop_parameters(0.5).eta
         g = localization_grid(eta)
